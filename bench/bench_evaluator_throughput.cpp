@@ -1,15 +1,17 @@
-// Evaluator throughput: single-pass streaming engine vs the legacy
-// recompute-per-prefix engine, full 30-predictor paper battery.
+// Evaluator throughput: the Evaluator's single streaming pass vs a
+// recompute-per-prefix replay, full 30-predictor paper battery.
 //
-// Legacy is O(N^2 * P) over an N-transfer log; the streaming engine is
-// O(N * P).  The gap is the whole point of the incremental prediction
-// engine, so legacy only runs at the two smaller sizes (one iteration —
-// at 100k it would take hours).
+// The prefix replay (BM_EvaluatorLegacy) calls every stateless
+// predictor on every history prefix and scores the answers: O(N^2 * P)
+// over an N-transfer log, against O(N * P) for the streaming pass.  It
+// is the reference the streaming engine replaced, so it only runs at
+// the two smaller sizes (one iteration — at 100k it would take hours).
 #include <benchmark/benchmark.h>
 
 #include "predict/evaluator.hpp"
 #include "predict/suite.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace wadp::predict {
 namespace {
@@ -30,12 +32,30 @@ std::vector<Observation> synthetic_series(std::size_t n) {
   return out;
 }
 
-void run_evaluator(benchmark::State& state, EvalConfig::Engine engine) {
+/// The O(N^2 * P) reference: every prediction recomputed from its
+/// history prefix, scored into per-predictor error aggregates.
+std::vector<ErrorStats> prefix_replay(std::span<const Observation> series,
+                                      const PredictorSuite& suite,
+                                      std::size_t training) {
+  std::vector<ErrorStats> errors(suite.size());
+  for (std::size_t i = training; i < series.size(); ++i) {
+    const Query query{.time = series[i].time,
+                      .file_size = series[i].file_size};
+    for (std::size_t p = 0; p < suite.size(); ++p) {
+      if (const auto predicted =
+              suite.predictors()[p]->predict(series.first(i), query)) {
+        errors[p].add(util::percent_error(series[i].value, *predicted));
+      }
+    }
+  }
+  return errors;
+}
+
+void BM_EvaluatorStreaming(benchmark::State& state) {
   const auto series =
       synthetic_series(static_cast<std::size_t>(state.range(0)));
   const auto suite = PredictorSuite::paper_suite();
   EvalConfig config;
-  config.engine = engine;
   config.keep_samples = false;
   const Evaluator evaluator(config);
   for (auto _ : state) {
@@ -46,11 +66,17 @@ void run_evaluator(benchmark::State& state, EvalConfig::Engine engine) {
   state.counters["transfers"] = static_cast<double>(state.range(0));
 }
 
-void BM_EvaluatorStreaming(benchmark::State& s) {
-  run_evaluator(s, EvalConfig::Engine::kStreaming);
-}
-void BM_EvaluatorLegacy(benchmark::State& s) {
-  run_evaluator(s, EvalConfig::Engine::kLegacy);
+void BM_EvaluatorLegacy(benchmark::State& state) {
+  const auto series =
+      synthetic_series(static_cast<std::size_t>(state.range(0)));
+  const auto suite = PredictorSuite::paper_suite();
+  const std::size_t training = EvalConfig{}.training_count;
+  for (auto _ : state) {
+    auto errors = prefix_replay(series, suite, training);
+    benchmark::DoNotOptimize(errors);
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["transfers"] = static_cast<double>(state.range(0));
 }
 
 BENCHMARK(BM_EvaluatorStreaming)

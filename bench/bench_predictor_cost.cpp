@@ -8,7 +8,6 @@
 // regardless of how much history the state has absorbed).
 #include <benchmark/benchmark.h>
 
-#include "predict/incremental.hpp"
 #include "predict/suite.hpp"
 #include "util/rng.hpp"
 
@@ -52,7 +51,7 @@ void run_streaming(benchmark::State& state, const std::string& name) {
   const auto* predictor = suite.find(name);
   const auto history =
       synthetic_history(static_cast<std::size_t>(state.range(0)));
-  auto stream = make_streaming(*predictor);
+  auto stream = predictor->stream();
   for (const auto& o : history) stream->observe(o);
   double t = history.back().time;
   std::size_t i = 0;

@@ -80,7 +80,7 @@ ReplayResult replay(const predict::PredictorSuite& suite,
                     const std::vector<predict::Observation>& series) {
   ReplayResult r;
   const predict::Predictor* batch = suite.find(name);
-  auto streaming = predict::make_streaming(*batch);
+  auto streaming = batch->stream();
 
   std::vector<std::optional<Bandwidth>> batch_answers(series.size());
   auto begin = Clock::now();

@@ -1,12 +1,8 @@
 #include "core/prediction_service.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 
-#include "history/adapter.hpp"
 #include "obs/context.hpp"
-#include "obs/events.hpp"
 #include "obs/trace.hpp"
 #include "predict/extended.hpp"
 #include "predict/regression.hpp"
@@ -22,34 +18,19 @@ std::uint64_t wall_ns() {
           .count());
 }
 
-/// Announces one stateless-fallback query as a structured ULM event, so
-/// operators can see *which* predictor keeps missing its streaming
-/// state and why (silent before this existed).
-void emit_fallback_event(const SeriesKey& key, std::string_view predictor,
-                         const char* reason) {
-  util::UlmRecord record;
-  record.set("PREDICTOR", std::string(predictor));
-  record.set("SERIES", key.to_string());
-  record.set("REASON", reason);
-  obs::EventSink::global().emit("predict.fallback", "wadp.core",
-                                std::move(record));
+predict::PredictorSuite make_battery(
+    ServiceConfig::Battery battery,
+    const predict::SizeClassifier& classifier) {
+  switch (battery) {
+    case ServiceConfig::Battery::kExtended:
+      return predict::extended_suite(classifier);
+    case ServiceConfig::Battery::kRegression:
+      return predict::regression_suite(classifier);
+    case ServiceConfig::Battery::kPaper:
+      break;
+  }
+  return predict::PredictorSuite::paper_suite(classifier);
 }
-
-#ifndef NDEBUG
-/// Debug-only invariant: the streaming battery answers exactly what the
-/// stateless battery would (within float noise).  Catches streaming
-/// states drifting out of sync with their reference predictors.
-void assert_streaming_agreement(std::optional<Bandwidth> streamed,
-                                std::optional<Bandwidth> stateless) {
-  WADP_CHECK_MSG(streamed.has_value() == stateless.has_value(),
-                 "streaming/stateless disagree on answerability");
-  if (!streamed) return;
-  const double tolerance =
-      1e-6 * std::max({std::abs(*streamed), std::abs(*stateless), 1.0});
-  WADP_CHECK_MSG(std::abs(*streamed - *stateless) <= tolerance,
-                 "streaming/stateless prediction mismatch");
-}
-#endif
 
 }  // namespace
 
@@ -60,18 +41,11 @@ PredictionService::PredictionService(ServiceConfig config)
 PredictionService::PredictionService(
     std::shared_ptr<history::HistoryStore> store, ServiceConfig config)
     : config_(std::move(config)),
-      suite_(config_.use_regression_battery
-                 ? predict::regression_suite(config_.classifier)
-             : config_.use_extended_battery
-                 ? predict::extended_suite(config_.classifier)
-                 : predict::PredictorSuite::paper_suite(config_.classifier)),
+      suite_(make_battery(config_.battery, config_.classifier)),
       store_(std::move(store)) {
   WADP_CHECK_MSG(store_ != nullptr, "prediction service needs a store");
   WADP_CHECK_MSG(suite_.find(config_.default_predictor) != nullptr,
                  "default predictor not in the battery");
-  WADP_CHECK_MSG(config_.challenger_predictor.empty() ||
-                     suite_.find(config_.challenger_predictor) != nullptr,
-                 "challenger predictor not in the battery");
   auto& registry = obs::Registry::global();
   metrics_.ingested = &registry.counter(
       "wadp_ingest_records_total", {},
@@ -79,21 +53,13 @@ PredictionService::PredictionService(
   metrics_.queries =
       &registry.counter("wadp_predict_queries_total", {},
                         "Prediction queries answered by the service");
-  metrics_.fallback_no_stream = &registry.counter(
-      "wadp_predict_fallback_total", {{"reason", "no_stream"}},
-      "Queries answered by the stateless path instead of streaming state");
   metrics_.fallback_time_travel = &registry.counter(
       "wadp_predict_fallback_total", {{"reason", "time_travel"}},
-      "Queries answered by the stateless path instead of streaming state");
+      "Queries older than a stream's eviction frontier, answered by "
+      "replaying the series through a fresh stream");
   metrics_.replays = &registry.counter(
       "wadp_battery_replays_total", {},
       "Streaming-battery replays forced by prefix-invalidating ingest");
-  metrics_.arbitration_default = &registry.counter(
-      "wadp_predict_arbitrations_total", {{"winner", "default"}},
-      "Champion/challenger arbitration decisions for unnamed queries");
-  metrics_.arbitration_challenger = &registry.counter(
-      "wadp_predict_arbitrations_total", {{"winner", "challenger"}},
-      "Champion/challenger arbitration decisions for unnamed queries");
   metrics_.predict_latency =
       &registry.histogram("wadp_predict_latency_seconds", {},
                           "Wall-clock latency of predict()");
@@ -123,7 +89,7 @@ PredictionService::BatteryState& PredictionService::catch_up(
   if (state.streams.empty()) {
     state.streams.reserve(suite_.size());
     for (const auto& predictor : suite_.predictors()) {
-      state.streams.push_back(predict::make_streaming(*predictor));
+      state.streams.push_back(predictor->stream());
     }
     state.fed = 0;
     state.generation = snapshot.generation();
@@ -131,55 +97,22 @@ PredictionService::BatteryState& PredictionService::catch_up(
   const auto& series = snapshot.observations();
   for (; state.fed < series.size(); ++state.fed) {
     const auto& obs = series[state.fed];
-    for (const auto& stream : state.streams) {
-      if (stream) stream->observe(obs);
-    }
+    for (const auto& stream : state.streams) stream->observe(obs);
   }
   return state;
 }
 
 std::optional<Bandwidth> PredictionService::predict_at(
-    const SeriesKey& key, const BatteryState& state,
-    const history::SeriesSnapshot& snapshot, std::size_t index,
-    const predict::Query& query) const {
-  const auto& stream = state.streams[index];
-  if (stream && query.time >= stream->safe_query_time()) {
-    auto answer = stream->predict(query);
-#ifndef NDEBUG
-    assert_streaming_agreement(
-        answer, suite_.predictors()[index]->predict(snapshot.span(), query));
-#endif
-    return answer;
-  }
-  // Stateless fallback (was silent): count it and log a ULM event so
-  // the O(N) recomputations are visible in `wadp metrics`.
-  const auto& predictor = *suite_.predictors()[index];
-  const char* reason = stream ? "time_travel" : "no_stream";
-  (stream ? metrics_.fallback_time_travel : metrics_.fallback_no_stream)
-      ->inc();
-  emit_fallback_event(key, predictor.name(), reason);
-  return predictor.predict(snapshot.span(), query);
-}
-
-std::string_view PredictionService::arbitrate(const std::string& site) const {
-  if (quality_ == nullptr || config_.challenger_predictor.empty()) {
-    return config_.default_predictor;
-  }
-  // The challenger takes the query only when it has joined quality data
-  // that beats the incumbent's, and it isn't in a drift demotion window
-  // — the same gate the broker applies to ranking candidates.
-  const auto incumbent =
-      quality_->mean_error(site, config_.default_predictor);
-  const auto challenger =
-      quality_->mean_error(site, config_.challenger_predictor);
-  const bool challenger_wins =
-      challenger.has_value() && (!incumbent || *challenger < *incumbent) &&
-      !quality_->drifting(site, config_.challenger_predictor);
-  (challenger_wins ? metrics_.arbitration_challenger
-                   : metrics_.arbitration_default)
-      ->inc();
-  return challenger_wins ? config_.challenger_predictor
-                         : config_.default_predictor;
+    const BatteryState& state, const history::SeriesSnapshot& snapshot,
+    std::size_t index, const predict::Query& query) const {
+  predict::StreamingPredictor& stream = *state.streams[index];
+  if (query.time >= stream.safe_query_time()) return stream.predict(query);
+  // Time travel: a temporal window has already evicted history this
+  // query needs, so replay the snapshot through a fresh state.
+  metrics_.fallback_time_travel->inc();
+  const auto replay = suite_.predictors()[index]->stream();
+  for (const auto& obs : snapshot.observations()) replay->observe(obs);
+  return replay->predict(query);
 }
 
 std::optional<Bandwidth> PredictionService::predict(
@@ -196,7 +129,7 @@ std::optional<Bandwidth> PredictionService::predict(
     return std::nullopt;
   }
   const auto index = suite_.index_of(
-      predictor_name.empty() ? arbitrate(key.host) : predictor_name);
+      predictor_name.empty() ? config_.default_predictor : predictor_name);
   if (!index) {
     span.set_attr("RESULT", "unknown_predictor");
     return std::nullopt;
@@ -216,7 +149,7 @@ std::optional<Bandwidth> PredictionService::predict(
     }
     const BatteryState& state = catch_up(key, snapshot);
     auto answer_span = span.child("predict.answer");
-    answer = predict_at(key, state, snapshot, *index,
+    answer = predict_at(state, snapshot, *index,
                         predict::Query{.time = now, .file_size = size});
     answer_span.end();
   }
@@ -256,7 +189,7 @@ std::vector<std::optional<Bandwidth>> PredictionService::predict_many(
     return answers;
   }
   const auto index = suite_.index_of(
-      predictor_name.empty() ? arbitrate(key.host) : predictor_name);
+      predictor_name.empty() ? config_.default_predictor : predictor_name);
   if (!index) {
     span.set_attr("RESULT", "unknown_predictor");
     return answers;
@@ -266,7 +199,7 @@ std::vector<std::optional<Bandwidth>> PredictionService::predict_many(
     std::lock_guard<std::mutex> lock(mu_);
     const BatteryState& state = catch_up(key, snapshot);
     for (std::size_t i = 0; i < queries.size(); ++i) {
-      answers[i] = predict_at(key, state, snapshot, *index, queries[i]);
+      answers[i] = predict_at(state, snapshot, *index, queries[i]);
     }
   }
   if (quality_ != nullptr) {
@@ -308,7 +241,7 @@ PredictionService::predict_all(const SeriesKey& key, Bytes size,
     update.end();
     for (std::size_t i = 0; i < suite_.size(); ++i) {
       out.emplace_back(suite_.predictors()[i]->name(),
-                       predict_at(key, state, snapshot, i, query));
+                       predict_at(state, snapshot, i, query));
     }
     if (quality_ != nullptr) {
       for (const auto& [name, value] : out) {

@@ -14,6 +14,11 @@
 // series, keyed off store snapshots and their generation watermarks.
 // Ingest goes straight to the store and never takes the battery lock,
 // so queries on other threads never block a producer.
+//
+// Every answer comes from a predictor's streaming form.  A query older
+// than a stream's safe_query_time() (a temporal window already evicted
+// what it needs) replays the series snapshot through a fresh stream(),
+// counted in wadp_predict_fallback_total{reason="time_travel"}.
 #pragma once
 
 #include <map>
@@ -31,7 +36,7 @@
 #include "obs/metrics.hpp"
 #include "obs/quality.hpp"
 #include "predict/evaluator.hpp"
-#include "predict/incremental.hpp"
+#include "predict/predictors.hpp"
 #include "predict/suite.hpp"
 
 namespace wadp::core {
@@ -43,23 +48,13 @@ struct ServiceConfig {
   /// file-size classification is one of the paper's stronger simple
   /// choices (Figs. 12-13).
   std::string default_predictor = "AVG15/fs";
-  /// Use the extended battery (paper's 30 plus EWMA / SREG / ADAPT
-  /// variants from predict/extended.hpp) instead of the paper's 30.
-  bool use_extended_battery = false;
-  /// Use the regression battery (the extended battery plus the
-  /// disk/probe regression and hybrid predictors from
-  /// predict/regression.hpp).  Takes precedence over
-  /// use_extended_battery (the regression suite contains it).
-  bool use_regression_battery = false;
-  /// Online champion/challenger arbitration: when non-empty (and a
-  /// QualityTracker is bound via bind_quality), a predict() call that
-  /// names no predictor is answered by whichever of
-  /// {default_predictor, challenger_predictor} currently has the lower
-  /// joined mean percent error for the series' site.  The challenger
-  /// must exist in the battery and must not be drifting to win; with no
-  /// quality data yet, the default answers.  Decisions are counted in
-  /// wadp_predict_arbitrations_total{winner=...}.
-  std::string challenger_predictor;
+  /// The battery the service answers from: the paper's 30 (Section
+  /// 4.4), the extended battery (the 30 plus the EWMA / SREG / ADAPT
+  /// variants of predict/extended.hpp), or the regression battery (the
+  /// extended one plus the disk/probe regression and hybrid predictors
+  /// of predict/regression.hpp).
+  enum class Battery { kPaper, kExtended, kRegression };
+  Battery battery = Battery::kPaper;
 };
 
 /// The series key now lives with the history plane; core re-exports it
@@ -162,8 +157,10 @@ class PredictionService {
   BatteryState& catch_up(const SeriesKey& key,
                          const history::SeriesSnapshot& snapshot) const;
 
-  std::optional<Bandwidth> predict_at(const SeriesKey& key,
-                                      const BatteryState& state,
+  /// Answers `query` with battery member `index`: from the caught-up
+  /// stream, or — for a time-travelling query — from a fresh stream
+  /// replayed over `snapshot`.  Caller holds mu_.
+  std::optional<Bandwidth> predict_at(const BatteryState& state,
                                       const history::SeriesSnapshot& snapshot,
                                       std::size_t index,
                                       const predict::Query& query) const;
@@ -173,18 +170,10 @@ class PredictionService {
   struct Metrics {
     obs::Counter* ingested = nullptr;
     obs::Counter* queries = nullptr;
-    obs::Counter* fallback_no_stream = nullptr;
     obs::Counter* fallback_time_travel = nullptr;
     obs::Counter* replays = nullptr;
-    obs::Counter* arbitration_default = nullptr;
-    obs::Counter* arbitration_challenger = nullptr;
     obs::Histogram* predict_latency = nullptr;
   };
-
-  /// Resolves the predictor answering an unnamed query for `site`:
-  /// the configured default, unless the challenger currently scores
-  /// better (see ServiceConfig::challenger_predictor).
-  std::string_view arbitrate(const std::string& site) const;
 
   ServiceConfig config_;
   predict::PredictorSuite suite_;

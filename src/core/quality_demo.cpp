@@ -90,7 +90,7 @@ QualityDemoResult run_quality_demo(const QualityDemoConfig& config) {
   // that follows.  Short training prefix: the warmup is only 5 deep.
   ServiceConfig service_config;
   service_config.training_count = 5;
-  service_config.use_regression_battery = true;
+  service_config.battery = ServiceConfig::Battery::kRegression;
   PredictionService service(result.store, service_config);
   service.bind_quality(result.tracker.get());
 

@@ -26,7 +26,7 @@
 #include "predict/crosssite.hpp"         // IWYU pragma: export
 #include "predict/evaluator.hpp"         // IWYU pragma: export
 #include "predict/extended.hpp"          // IWYU pragma: export
-#include "predict/online.hpp"            // IWYU pragma: export
+#include "predict/incremental.hpp"       // IWYU pragma: export
 #include "predict/suite.hpp"             // IWYU pragma: export
 #include "replica/broker.hpp"            // IWYU pragma: export
 #include "replica/catalog.hpp"           // IWYU pragma: export

@@ -4,8 +4,8 @@
 // series and reports, at every instant, the output of whichever
 // forecaster has the lowest accumulated error — its "dynamic selection"
 // (Wolski 1998).  The paper names adopting this as future work
-// (Section 7); we provide it both for probe series here and for GridFTP
-// histories via predict::DynamicSelector (the same machinery underneath).
+// (Section 7); NwsForecaster runs predict::DynamicSelector over a probe
+// series, and the same selector runs over GridFTP histories.
 #pragma once
 
 #include <memory>
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "nws/sensor.hpp"
-#include "predict/online.hpp"
+#include "predict/incremental.hpp"
 #include "predict/suite.hpp"
 
 namespace wadp::nws {
@@ -30,15 +30,15 @@ class NwsForecaster {
   /// Feeds one probe measurement (time-ordered).
   void observe(const ProbeMeasurement& measurement);
 
-  /// Forecast bandwidth at time `t` from probes observed so far.
-  std::optional<Bandwidth> forecast(SimTime t) const;
+  /// Forecast bandwidth at time `t` (non-decreasing across calls) from
+  /// probes observed so far.
+  std::optional<Bandwidth> forecast(SimTime t);
 
   /// Which battery member currently answers.
   const std::string& current_choice() const;
 
  private:
-  predict::PredictorSuite battery_;  // keeps candidate ownership alive
-  std::unique_ptr<predict::DynamicSelector> selector_;
+  predict::DynamicSelector selector_;
 };
 
 /// Hybrid GridFTP predictor (the paper's Section 7 proposal): combine
@@ -50,11 +50,13 @@ class NwsForecaster {
 ///   prediction(t) = median_i( gridftp_i / probe_level(t_i) ) * probe_level(t)
 ///
 /// where probe_level(s) is the mean probe bandwidth in the hour before
-/// s.  Falls back to nullopt when either signal is missing.
+/// s.  Falls back to nullopt when either signal is missing.  The answer
+/// reads the external probe series, which may grow between queries, so
+/// the streaming form keeps its GridFTP history and recomputes.
 class HybridNwsPredictor final : public predict::Predictor {
  public:
-  /// `probes` must outlive the predictor and stay time-ordered (the
-  /// sensor appends monotonically).
+  /// `probes` must outlive the predictor and its streams, and stay
+  /// time-ordered (the sensor appends monotonically).
   HybridNwsPredictor(std::string name,
                      const std::vector<ProbeMeasurement>* probes,
                      std::size_t ratio_window = 10,
@@ -63,10 +65,9 @@ class HybridNwsPredictor final : public predict::Predictor {
   std::optional<Bandwidth> predict(
       std::span<const predict::Observation> history,
       const predict::Query& query) const override;
+  std::unique_ptr<predict::StreamingPredictor> stream() const override;
 
  private:
-  std::optional<Bandwidth> probe_level(SimTime t) const;
-
   const std::vector<ProbeMeasurement>* probes_;
   std::size_t ratio_window_;
   Duration probe_level_window_;

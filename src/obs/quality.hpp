@@ -120,9 +120,9 @@ class QualityTracker {
   /// True while the pair is in its post-alarm demotion window.
   bool drifting(const std::string& site, const std::string& predictor) const;
   /// Count-weighted mean percent error across every size class of one
-  /// (site, predictor) pair — the scalar the arbitration loop in
-  /// core/PredictionService compares champion vs challenger on.
-  /// nullopt until at least one joined transfer scored the pair.
+  /// (site, predictor) pair — one scalar for how that predictor is
+  /// doing at that site.  nullopt until at least one joined transfer
+  /// scored the pair.
   std::optional<double> mean_error(const std::string& site,
                                    const std::string& predictor) const;
   /// True when any predictor serving `site` is drifting.

@@ -1,14 +1,11 @@
 #include "predict/evaluator.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <thread>
 
 #include "obs/metrics.hpp"
-#include "predict/incremental.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -18,19 +15,11 @@ namespace {
 /// Per-run aggregates only — nothing on the per-observation path, so
 /// the streaming-throughput bench stays within its budget.
 struct EvalMetrics {
-  obs::Counter& streaming_runs = obs::Registry::global().counter(
-      "wadp_eval_runs_total", {{"engine", "streaming"}},
-      "Evaluator runs by prediction engine");
-  obs::Counter& legacy_runs = obs::Registry::global().counter(
-      "wadp_eval_runs_total", {{"engine", "legacy"}},
-      "Evaluator runs by prediction engine");
+  obs::Counter& runs = obs::Registry::global().counter(
+      "wadp_eval_runs_total", {}, "Evaluator runs");
   obs::Counter& transfers = obs::Registry::global().counter(
       "wadp_eval_transfers_total", {},
       "Transfers scored across all evaluator runs");
-  obs::Counter& fallback_columns = obs::Registry::global().counter(
-      "wadp_eval_streaming_fallback_columns_total", {},
-      "Predictor columns that fell back to prefix recomputation because "
-      "no streaming form exists");
 
   static EvalMetrics& get() {
     static EvalMetrics metrics;
@@ -110,161 +99,79 @@ EvaluationResult Evaluator::run(
 
   const std::size_t training = config_.training_count;
   const std::size_t count = predictors.size();
-  const bool streaming = config_.engine == EvalConfig::Engine::kStreaming;
 
-  (streaming ? EvalMetrics::get().streaming_runs
-             : EvalMetrics::get().legacy_runs)
-      .inc();
+  EvalMetrics::get().runs.inc();
   EvalMetrics::get().transfers.inc(
       series.size() > training ? series.size() - training : 0);
 
   // Ties within this relative tolerance share best/worst credit.
   constexpr double kTieEpsilon = 1e-9;
 
-  // Serial, order-deterministic aggregation of one transfer, shared by
-  // every engine/thread configuration so results are bit-identical
-  // across all of them given identical predictions.
-  std::vector<double> errors_scratch(count);
-  const auto score_transfer =
-      [&](const Observation& actual,
-          std::span<const std::optional<Bandwidth>> predictions) {
-        WADP_CHECK_MSG(actual.value > 0.0, "non-positive measured bandwidth");
-        const int cls = config_.classifier.classify(actual.file_size);
-
-        ++result.transfers_per_class_[0];
-        ++result.transfers_per_class_[static_cast<std::size_t>(cls) + 1];
-
-        EvalSample sample;
-        if (config_.keep_samples) {
-          sample.time = actual.time;
-          sample.file_size = actual.file_size;
-          sample.size_class = cls;
-          sample.measured = actual.value;
-          sample.predictions.assign(predictions.begin(), predictions.end());
-        }
-
-        auto& errors = errors_scratch;
-        errors.assign(count, std::numeric_limits<double>::quiet_NaN());
-        double best = std::numeric_limits<double>::infinity();
-        double worst = -std::numeric_limits<double>::infinity();
-        for (std::size_t p = 0; p < count; ++p) {
-          const auto& prediction = predictions[p];
-          if (!prediction) continue;
-          const double err = util::percent_error(actual.value, *prediction);
-          errors[p] = err;
-          best = std::min(best, err);
-          worst = std::max(worst, err);
-          result.errors_[result.slot(p, EvaluationResult::kAllClasses)].add(err);
-          result.errors_[result.slot(p, cls)].add(err);
-        }
-
-        for (std::size_t p = 0; p < count; ++p) {
-          if (std::isnan(errors[p])) continue;
-          auto& overall =
-              result.relative_[result.slot(p, EvaluationResult::kAllClasses)];
-          auto& in_class = result.relative_[result.slot(p, cls)];
-          ++overall.opportunities;
-          ++in_class.opportunities;
-          if (errors[p] <= best + kTieEpsilon) {
-            ++overall.best;
-            ++in_class.best;
-          }
-          if (errors[p] >= worst - kTieEpsilon) {
-            ++overall.worst;
-            ++in_class.worst;
-          }
-        }
-
-        if (config_.keep_samples) result.samples_.push_back(std::move(sample));
-      };
-
-  const unsigned workers =
-      std::min<unsigned>(config_.threads, static_cast<unsigned>(count));
-
-  if (streaming && workers <= 1) {
-    // Single streaming pass: every state absorbs each observation once,
-    // predictions come from O(1)/O(log W) state instead of prefix
-    // recomputation, and no O(N·P) prediction matrix is materialized.
-    std::vector<std::unique_ptr<StreamingPredictor>> states;
-    states.reserve(count);
-    for (const auto* p : predictors) states.push_back(make_streaming(*p));
-    for (const auto& state : states) {
-      if (!state) EvalMetrics::get().fallback_columns.inc();
-    }
-    std::vector<std::optional<Bandwidth>> row(count);
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      const Observation& actual = series[i];
-      if (i >= training) {
-        const Query query{.time = actual.time, .file_size = actual.file_size};
-        for (std::size_t p = 0; p < count; ++p) {
-          row[p] = states[p] ? states[p]->predict(query)
-                             : predictors[p]->predict(series.first(i), query);
-        }
-        score_transfer(actual, row);
-      }
+  // Single streaming pass: every state absorbs each observation once,
+  // and each transfer is predicted from the states before it absorbs
+  // that transfer.  Predictions outlive their transfer only in the
+  // keep_samples matrix.
+  std::vector<std::unique_ptr<StreamingPredictor>> states;
+  states.reserve(count);
+  for (const auto* p : predictors) states.push_back(p->stream());
+  std::vector<std::optional<Bandwidth>> predictions(count);
+  std::vector<double> errors(count);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    const Observation& actual = series[i];
+    if (i >= training) {
+      const Query query{.time = actual.time, .file_size = actual.file_size};
       for (std::size_t p = 0; p < count; ++p) {
-        if (states[p]) states[p]->observe(actual);
+        predictions[p] = states[p]->predict(query);
+      }
+
+      WADP_CHECK_MSG(actual.value > 0.0, "non-positive measured bandwidth");
+      const int cls = config_.classifier.classify(actual.file_size);
+      ++result.transfers_per_class_[0];
+      ++result.transfers_per_class_[static_cast<std::size_t>(cls) + 1];
+
+      errors.assign(count, std::numeric_limits<double>::quiet_NaN());
+      double best = std::numeric_limits<double>::infinity();
+      double worst = -std::numeric_limits<double>::infinity();
+      for (std::size_t p = 0; p < count; ++p) {
+        const auto& prediction = predictions[p];
+        if (!prediction) continue;
+        const double err = util::percent_error(actual.value, *prediction);
+        errors[p] = err;
+        best = std::min(best, err);
+        worst = std::max(worst, err);
+        result.errors_[result.slot(p, EvaluationResult::kAllClasses)].add(err);
+        result.errors_[result.slot(p, cls)].add(err);
+      }
+
+      for (std::size_t p = 0; p < count; ++p) {
+        if (std::isnan(errors[p])) continue;
+        auto& overall =
+            result.relative_[result.slot(p, EvaluationResult::kAllClasses)];
+        auto& in_class = result.relative_[result.slot(p, cls)];
+        ++overall.opportunities;
+        ++in_class.opportunities;
+        if (errors[p] <= best + kTieEpsilon) {
+          ++overall.best;
+          ++in_class.best;
+        }
+        if (errors[p] >= worst - kTieEpsilon) {
+          ++overall.worst;
+          ++in_class.worst;
+        }
+      }
+
+      if (config_.keep_samples) {
+        result.samples_.push_back(EvalSample{
+            .time = actual.time,
+            .file_size = actual.file_size,
+            .size_class = cls,
+            .measured = actual.value,
+            .predictions = predictions,
+        });
       }
     }
-    return result;
+    for (const auto& state : states) state->observe(actual);
   }
-
-  // Column phase: each predictor's column depends only on the (shared,
-  // read-only) series, so columns compute in parallel — via a private
-  // streaming replay per column, or legacy prefix recomputation.
-  const std::size_t evaluated =
-      series.size() > training ? series.size() - training : 0;
-  std::vector<std::vector<std::optional<Bandwidth>>> matrix(count);
-  const auto compute_column = [&](std::size_t p) {
-    auto& column = matrix[p];
-    column.resize(evaluated);
-    if (streaming) {
-      if (auto state = make_streaming(*predictors[p])) {
-        for (std::size_t i = 0; i < series.size(); ++i) {
-          const Observation& actual = series[i];
-          if (i >= training) {
-            column[i - training] = state->predict(
-                Query{.time = actual.time, .file_size = actual.file_size});
-          }
-          state->observe(actual);
-        }
-        return;
-      }
-      // No streaming form: this column replays by prefix recomputation.
-      EvalMetrics::get().fallback_columns.inc();
-    }
-    for (std::size_t i = training; i < series.size(); ++i) {
-      const Observation& actual = series[i];
-      column[i - training] = predictors[p]->predict(
-          series.first(i),
-          Query{.time = actual.time, .file_size = actual.file_size});
-    }
-  };
-  if (workers <= 1) {
-    for (std::size_t p = 0; p < count; ++p) compute_column(p);
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        for (std::size_t p = next.fetch_add(1); p < matrix.size();
-             p = next.fetch_add(1)) {
-          compute_column(p);
-        }
-      });
-    }
-    for (auto& worker : pool) worker.join();
-  }
-
-  std::vector<std::optional<Bandwidth>> row(count);
-  for (std::size_t i = training; i < series.size(); ++i) {
-    for (std::size_t p = 0; p < count; ++p) {
-      row[p] = matrix[p][i - training];
-    }
-    score_transfer(series[i], row);
-  }
-
   return result;
 }
 

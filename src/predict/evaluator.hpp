@@ -7,6 +7,10 @@
 // predictor and per file-size class.  It also computes the paper's
 // "relative performance" statistic (Figs. 14–21): for each transfer,
 // which predictor was best and which was worst.
+//
+// The replay is one streaming pass: every predictor's stream() absorbs
+// each observation once and answers the next transfer from its
+// incremental state — O(N·P) for N transfers and P predictors.
 #pragma once
 
 #include <optional>
@@ -29,20 +33,6 @@ struct EvalConfig {
   std::size_t training_count = 15;
   SizeClassifier classifier = SizeClassifier::paper_classes();
   bool keep_samples = true;  ///< retain the per-transfer prediction matrix
-  /// Worker threads for the prediction phase.  Predictors are pure
-  /// functions of the history, so the battery is embarrassingly
-  /// parallel across its members; aggregation stays serial so results
-  /// are bit-identical to the single-threaded run.  1 = serial.
-  unsigned threads = 1;
-  /// Prediction engine.  kStreaming replays the series once through the
-  /// incremental battery (predict/incremental.hpp): O(N·P) total, with
-  /// predictors lacking a streaming form transparently falling back to
-  /// prefix recomputation.  kLegacy recomputes every prediction from
-  /// the raw prefix — O(N²·P), kept for equivalence tests and as the
-  /// reference for the throughput bench.  Aggregation is the same code
-  /// either way.
-  enum class Engine { kStreaming, kLegacy };
-  Engine engine = Engine::kStreaming;
 };
 
 /// Streaming aggregate of percentage errors: one util::RunningStats
@@ -141,7 +131,7 @@ class Evaluator {
 
   const EvalConfig& config() const { return config_; }
 
-  /// Replays `series` (time-ordered) against `predictors`.
+  /// Replays `series` (time-ordered) against `predictors`' streams.
   EvaluationResult run(std::span<const Observation> series,
                        const std::vector<const Predictor*>& predictors) const;
 

@@ -16,6 +16,11 @@
 //                            recent history it did not see (a small
 //                            online cross-validation), per the
 //                            dynamic-window discussion in Section 4.2.
+//
+// Each has a streaming form (stream()) that answers bit-identically to
+// the stateless definition: EWMA is an O(1) recurrence, SREG keeps the
+// window's (log10 size, value) pairs, ADAPT keeps only the suffix its
+// holdout replay can read.
 #pragma once
 
 #include <vector>
@@ -25,21 +30,20 @@
 
 namespace wadp::predict {
 
-/// EWMA over the (optionally windowed) history:
+/// EWMA over the whole history:
 ///   s_0 = x_0;  s_i = alpha * x_i + (1 - alpha) * s_{i-1}.
 /// alpha in (0, 1]; alpha -> 1 degenerates to last-value, alpha -> 0 to
 /// a long-memory mean.
 class EwmaPredictor final : public Predictor {
  public:
-  EwmaPredictor(std::string name, double alpha,
-                WindowSpec window = WindowSpec::all());
+  EwmaPredictor(std::string name, double alpha);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
   double alpha() const { return alpha_; }
 
  private:
   double alpha_;
-  WindowSpec window_;
 };
 
 /// Ordinary least squares of bandwidth on log10(file size) over the
@@ -47,6 +51,7 @@ class EwmaPredictor final : public Predictor {
 /// Unlike ClassifiedPredictor it uses *all* sizes as signal, so it can
 /// answer for a class that has never been transferred.  Falls back to
 /// the window mean when sizes are (nearly) constant; clamps at zero.
+/// Only all-data and last-N windows are supported.
 class SizeRegressionPredictor final : public Predictor {
  public:
   SizeRegressionPredictor(std::string name,
@@ -54,6 +59,7 @@ class SizeRegressionPredictor final : public Predictor {
                           std::size_t min_samples = 5);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
 
  private:
   WindowSpec window_;
@@ -72,6 +78,7 @@ class AdaptiveWindowPredictor final : public Predictor {
                           std::size_t holdout = 10);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
 
   /// The window predict() would use right now (for tests/diagnostics).
   std::optional<std::size_t> chosen_window(

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "predict/regression.hpp"
 #include "util/error.hpp"
+#include "util/stats.hpp"
 
 namespace wadp::predict {
 namespace {
@@ -376,83 +376,76 @@ SimTime StreamingClassified::safe_query_time() const {
 }
 
 // ---------------------------------------------------------------------------
-// Adapter + suite
+// DynamicSelector
 
-std::unique_ptr<StreamingPredictor> make_streaming(const Predictor& predictor) {
-  if (const auto* mean = dynamic_cast<const MeanPredictor*>(&predictor)) {
-    return std::make_unique<StreamingMean>(mean->name(), mean->window());
+DynamicSelector::DynamicSelector(
+    std::string name,
+    const std::vector<std::shared_ptr<const Predictor>>& candidates)
+    : StreamingPredictor(std::move(name)) {
+  WADP_CHECK_MSG(!candidates.empty(), "selector needs candidates");
+  streams_.reserve(candidates.size());
+  for (const auto& c : candidates) {
+    WADP_CHECK(c != nullptr);
+    streams_.push_back(c->stream());
   }
-  if (const auto* median = dynamic_cast<const MedianPredictor*>(&predictor)) {
-    return std::make_unique<StreamingMedian>(median->name(), median->window());
-  }
-  if (dynamic_cast<const LastValuePredictor*>(&predictor) != nullptr) {
-    return std::make_unique<StreamingLastValue>(predictor.name());
-  }
-  if (const auto* ar = dynamic_cast<const ArPredictor*>(&predictor)) {
-    return std::make_unique<StreamingAr>(ar->name(), ar->window(),
-                                         ar->min_samples());
-  }
-  if (const auto* reg = dynamic_cast<const RegressionPredictor*>(&predictor)) {
-    return std::make_unique<StreamingRegression>(
-        reg->name(), reg->model(), reg->window(), reg->min_samples());
-  }
-  if (const auto* classified =
-          dynamic_cast<const ClassifiedPredictor*>(&predictor)) {
-    const std::shared_ptr<const Predictor> base = classified->base_ptr();
-    if (make_streaming(*base) == nullptr) return nullptr;  // unsupported base
-    return std::make_unique<StreamingClassified>(
-        classified->name(), classified->classifier(),
-        [&base] { return make_streaming(*base); });
-  }
-  return nullptr;
+  error_sum_.assign(streams_.size(), 0.0);
+  error_count_.assign(streams_.size(), 0);
 }
 
-StreamingSuite StreamingSuite::paper_suite(SizeClassifier classifier) {
-  return from(PredictorSuite::paper_suite(std::move(classifier)));
-}
-
-StreamingSuite StreamingSuite::from(const PredictorSuite& suite) {
-  StreamingSuite out;
-  for (const auto& predictor : suite.predictors()) {
-    out.add_slot(predictor->name(), make_streaming(*predictor));
+void DynamicSelector::observe(const Observation& observation) {
+  // Score every candidate on this measurement *before* absorbing it —
+  // exactly the postmortem NWS runs on each new sensor reading.
+  if (observation.value > 0.0) {
+    const Query query{.time = observation.time,
+                      .file_size = observation.file_size};
+    for (std::size_t i = 0; i < streams_.size(); ++i) {
+      if (const auto p = streams_[i]->predict(query)) {
+        error_sum_[i] += util::percent_error(observation.value, *p);
+        ++error_count_[i];
+      }
+    }
   }
-  return out;
+  for (const auto& stream : streams_) stream->observe(observation);
 }
 
-void StreamingSuite::add(std::unique_ptr<StreamingPredictor> predictor) {
-  WADP_CHECK(predictor != nullptr);
-  std::string name = predictor->name();
-  add_slot(std::move(name), std::move(predictor));
-}
-
-void StreamingSuite::add_slot(std::string name,
-                              std::unique_ptr<StreamingPredictor> predictor) {
-  WADP_CHECK_MSG(index_.find(name) == index_.end(),
-                 "duplicate predictor name in streaming suite");
-  index_.emplace(name, predictors_.size());
-  names_.push_back(std::move(name));
-  predictors_.push_back(std::move(predictor));
-}
-
-void StreamingSuite::observe(const Observation& observation) {
-  for (const auto& predictor : predictors_) {
-    if (predictor) predictor->observe(observation);
+std::size_t DynamicSelector::best_index() const {
+  std::size_t best = 0;
+  double best_mean = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    if (error_count_[i] == 0) continue;
+    const double mean = error_sum_[i] / static_cast<double>(error_count_[i]);
+    if (mean < best_mean) {
+      best_mean = mean;
+      best = i;
+    }
   }
+  return best;  // index 0 until anyone has a track record
 }
 
-StreamingPredictor* StreamingSuite::find(std::string_view name) const {
-  const auto it = index_.find(std::string(name));
-  return it == index_.end() ? nullptr : predictors_[it->second].get();
+std::optional<Bandwidth> DynamicSelector::predict(const Query& query) {
+  return streams_[best_index()]->predict(query);
 }
 
-std::vector<std::pair<std::string, std::optional<Bandwidth>>>
-StreamingSuite::predict_all(const Query& query) {
-  std::vector<std::pair<std::string, std::optional<Bandwidth>>> out;
-  out.reserve(predictors_.size());
-  for (std::size_t i = 0; i < predictors_.size(); ++i) {
-    out.emplace_back(names_[i], predictors_[i]
-                                    ? predictors_[i]->predict(query)
-                                    : std::nullopt);
+SimTime DynamicSelector::safe_query_time() const {
+  SimTime latest = -std::numeric_limits<SimTime>::infinity();
+  for (const auto& stream : streams_) {
+    latest = std::max(latest, stream->safe_query_time());
+  }
+  return latest;
+}
+
+const std::string& DynamicSelector::current_choice() const {
+  return streams_[best_index()]->name();
+}
+
+std::vector<std::pair<std::string, double>> DynamicSelector::scores() const {
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(streams_.size());
+  for (std::size_t i = 0; i < streams_.size(); ++i) {
+    const double mean =
+        error_count_[i] ? error_sum_[i] / static_cast<double>(error_count_[i])
+                        : std::numeric_limits<double>::quiet_NaN();
+    out.emplace_back(streams_[i]->name(), mean);
   }
   return out;
 }

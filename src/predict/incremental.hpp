@@ -22,13 +22,17 @@
 //   * classified (/fs) — per-size-class partitioned sub-states
 //     replacing ClassifiedPredictor's per-query filter-copy.
 //
-// Contract: observations must arrive in non-decreasing time order, and
-// query times must be non-decreasing as well (interleaved with
-// observes) — temporal windows evict history older than `query.time -
-// duration` and cannot resurrect it.  Every state reports
-// safe_query_time(); wrappers that cannot guarantee monotone queries
-// (the online adapters, the prediction service) check it and fall back
-// to the stateless path for time-travelling queries.
+// Contract (see StreamingPredictor in predict/predictors.hpp):
+// observations and query times must be non-decreasing.  Every state
+// reports safe_query_time(); core::PredictionService answers a query
+// older than that by replaying its snapshot through a fresh state.
+//
+// Each Predictor builds its own streaming form through
+// Predictor::stream(); the families beyond the paper's battery keep
+// theirs next to their stateless definitions (predict/extended.*,
+// predict/regression.*, nws/forecaster.*).  DynamicSelector, the NWS
+// dynamic selection the paper names as future work, is a streaming
+// state over its candidates' streams.
 #pragma once
 
 #include <cstdint>
@@ -39,48 +43,16 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "predict/classifier.hpp"
 #include "predict/observation.hpp"
 #include "predict/predictors.hpp"
-#include "predict/suite.hpp"
 #include "predict/window.hpp"
 #include "util/types.hpp"
 
 namespace wadp::predict {
-
-class StreamingPredictor {
- public:
-  virtual ~StreamingPredictor() = default;
-
-  /// Same stable name as the stateless counterpart ("AVG25", "MED5/fs").
-  const std::string& name() const { return name_; }
-
-  /// Absorbs one measurement; times must be non-decreasing across calls.
-  virtual void observe(const Observation& observation) = 0;
-
-  /// Prediction from everything observed so far, equivalent to the
-  /// stateless predictor applied to the full accumulated history.
-  /// Non-const: temporal windows advance their eviction frontier.
-  virtual std::optional<Bandwidth> predict(const Query& query) = 0;
-
-  /// Earliest query time this state can still answer exactly.  Queries
-  /// at `time >= safe_query_time()` are always exact; earlier ones may
-  /// need history a temporal window has already evicted.  -infinity
-  /// for states that never discard data.
-  virtual SimTime safe_query_time() const {
-    return -std::numeric_limits<SimTime>::infinity();
-  }
-
- protected:
-  explicit StreamingPredictor(std::string name) : name_(std::move(name)) {}
-
- private:
-  std::string name_;
-};
 
 /// Streaming MeanPredictor: O(1) observe; predict is O(1) for all-data
 /// and temporal windows, O(N) for a last-N window (N is the spec
@@ -215,51 +187,32 @@ class StreamingClassified final : public StreamingPredictor {
   std::vector<std::unique_ptr<StreamingPredictor>> per_class_;
 };
 
-/// Builds the streaming counterpart of a stateless predictor, or
-/// nullptr when the concrete type has no incremental form (extended
-/// battery members fall back to the stateless path).
-std::unique_ptr<StreamingPredictor> make_streaming(const Predictor& predictor);
-
-/// The streaming battery: mirrors PredictorSuite name-for-name and
-/// fans observations out to every member.
-class StreamingSuite {
+/// NWS-style dynamic selection (Wolski 1998, cited as [42]) over a
+/// battery: before absorbing each measurement, every candidate's
+/// stream is scored on it; predict() delegates to the candidate with
+/// the lowest mean percentage error so far (the first candidate until
+/// any has a track record).
+class DynamicSelector final : public StreamingPredictor {
  public:
-  /// Streaming counterpart of PredictorSuite::paper_suite() — same
-  /// thirty predictors, same names, same order.
-  static StreamingSuite paper_suite(
-      SizeClassifier classifier = SizeClassifier::paper_classes());
+  DynamicSelector(
+      std::string name,
+      const std::vector<std::shared_ptr<const Predictor>>& candidates);
+  void observe(const Observation& observation) override;
+  std::optional<Bandwidth> predict(const Query& query) override;
+  SimTime safe_query_time() const override;
 
-  /// Streaming counterparts of every adaptable member of `suite`, in
-  /// suite order.  Members without an incremental form get a null slot
-  /// (visible via predictor(i) == nullptr) so callers can fall back.
-  static StreamingSuite from(const PredictorSuite& suite);
+  /// Name of the candidate predict() currently delegates to.
+  const std::string& current_choice() const;
 
-  StreamingSuite() = default;
-
-  void add(std::unique_ptr<StreamingPredictor> predictor);
-
-  /// Feeds one measurement to every member.
-  void observe(const Observation& observation);
-
-  std::size_t size() const { return predictors_.size(); }
-  StreamingPredictor* predictor(std::size_t index) const {
-    return predictors_[index].get();
-  }
-  const std::vector<std::string>& names() const { return names_; }
-
-  /// Lookup by name; nullptr when absent or not adaptable.
-  StreamingPredictor* find(std::string_view name) const;
-
-  /// Every member's answer, in suite order (null slots answer nullopt).
-  std::vector<std::pair<std::string, std::optional<Bandwidth>>> predict_all(
-      const Query& query);
+  /// Mean percentage error accumulated per candidate (test/diagnostics).
+  std::vector<std::pair<std::string, double>> scores() const;
 
  private:
-  void add_slot(std::string name, std::unique_ptr<StreamingPredictor> predictor);
+  std::size_t best_index() const;
 
-  std::vector<std::unique_ptr<StreamingPredictor>> predictors_;
-  std::vector<std::string> names_;
-  std::unordered_map<std::string, std::size_t> index_;
+  std::vector<std::unique_ptr<StreamingPredictor>> streams_;
+  std::vector<double> error_sum_;
+  std::vector<std::size_t> error_count_;
 };
 
 }  // namespace wadp::predict

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "predict/incremental.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -27,6 +28,10 @@ std::optional<Bandwidth> MeanPredictor::predict(
   return util::mean(values_of(window));
 }
 
+std::unique_ptr<StreamingPredictor> MeanPredictor::stream() const {
+  return std::make_unique<StreamingMean>(name(), window_);
+}
+
 MedianPredictor::MedianPredictor(std::string name, WindowSpec window)
     : Predictor(std::move(name)), window_(window) {}
 
@@ -37,6 +42,10 @@ std::optional<Bandwidth> MedianPredictor::predict(
   return util::median(values_of(window));
 }
 
+std::unique_ptr<StreamingPredictor> MedianPredictor::stream() const {
+  return std::make_unique<StreamingMedian>(name(), window_);
+}
+
 LastValuePredictor::LastValuePredictor(std::string name)
     : Predictor(std::move(name)) {}
 
@@ -44,6 +53,10 @@ std::optional<Bandwidth> LastValuePredictor::predict(
     std::span<const Observation> history, const Query& /*query*/) const {
   if (history.empty()) return std::nullopt;
   return history.back().value;
+}
+
+std::unique_ptr<StreamingPredictor> LastValuePredictor::stream() const {
+  return std::make_unique<StreamingLastValue>(name());
 }
 
 ArPredictor::ArPredictor(std::string name, WindowSpec window,
@@ -65,6 +78,10 @@ std::optional<Bandwidth> ArPredictor::predict(
   return std::max(0.0, predicted);
 }
 
+std::unique_ptr<StreamingPredictor> ArPredictor::stream() const {
+  return std::make_unique<StreamingAr>(name(), window_, min_samples_);
+}
+
 ClassifiedPredictor::ClassifiedPredictor(std::shared_ptr<const Predictor> base,
                                          SizeClassifier classifier)
     : Predictor(base->name() + "/fs"),
@@ -82,6 +99,11 @@ std::optional<Bandwidth> ClassifiedPredictor::predict(
     if (classifier_.classify(o.file_size) == wanted) filtered.push_back(o);
   }
   return base_->predict(filtered, query);
+}
+
+std::unique_ptr<StreamingPredictor> ClassifiedPredictor::stream() const {
+  return std::make_unique<StreamingClassified>(
+      name(), classifier_, [this] { return base_->stream(); });
 }
 
 }  // namespace wadp::predict

@@ -7,8 +7,14 @@
 // median-based, and the degenerate ARIMA regression Y_t = a + b*Y_{t-1}
 // — are each combined with a history window (Section 4.2), and any
 // predictor can be wrapped in file-size classification (Section 4.3).
+//
+// Every predictor also has a streaming form (stream()): the one engine
+// that answers queries everywhere in the system.  The stateless
+// predict(history, query) is the reference definition the streaming
+// forms are tested against.
 #pragma once
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -22,6 +28,46 @@
 
 namespace wadp::predict {
 
+/// A predictor's incremental state: absorbs one observation at a time
+/// and answers from what it has absorbed, equal to the stateless
+/// predictor applied to the accumulated history (see
+/// predict/incremental.hpp for the per-family forms and their cost).
+///
+/// Contract: observations must arrive in non-decreasing time order, and
+/// query times must be non-decreasing as well (interleaved with
+/// observes) — temporal windows evict history older than `query.time -
+/// duration` and cannot resurrect it.  A query older than
+/// safe_query_time() needs a fresh state replayed over the history.
+class StreamingPredictor {
+ public:
+  virtual ~StreamingPredictor() = default;
+
+  /// Same stable name as the stateless counterpart ("AVG25", "MED5/fs").
+  const std::string& name() const { return name_; }
+
+  /// Absorbs one measurement; times must be non-decreasing across calls.
+  virtual void observe(const Observation& observation) = 0;
+
+  /// Prediction from everything observed so far, equivalent to the
+  /// stateless predictor applied to the full accumulated history.
+  /// Non-const: temporal windows advance their eviction frontier.
+  virtual std::optional<Bandwidth> predict(const Query& query) = 0;
+
+  /// Earliest query time this state can still answer exactly.  Queries
+  /// at `time >= safe_query_time()` are always exact; earlier ones may
+  /// need history a temporal window has already evicted.  -infinity
+  /// for states that never discard data.
+  virtual SimTime safe_query_time() const {
+    return -std::numeric_limits<SimTime>::infinity();
+  }
+
+ protected:
+  explicit StreamingPredictor(std::string name) : name_(std::move(name)) {}
+
+ private:
+  std::string name_;
+};
+
 class Predictor {
  public:
   virtual ~Predictor() = default;
@@ -31,9 +77,15 @@ class Predictor {
 
   /// Predicted bandwidth (bytes/s) for `query` given `history`, which
   /// must be ordered by Observation::time.  nullopt when the usable
-  /// subset of the history is insufficient for this technique.
+  /// subset of the history is insufficient for this technique.  The
+  /// reference definition: production code answers from stream().
   virtual std::optional<Bandwidth> predict(
       std::span<const Observation> history, const Query& query) const = 0;
+
+  /// A fresh streaming state (nothing observed yet) that answers
+  /// exactly what predict() would over the history it absorbs.  The
+  /// state does not reference this predictor and may outlive it.
+  virtual std::unique_ptr<StreamingPredictor> stream() const = 0;
 
  protected:
   explicit Predictor(std::string name) : name_(std::move(name)) {}
@@ -48,6 +100,7 @@ class MeanPredictor final : public Predictor {
   MeanPredictor(std::string name, WindowSpec window);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
   const WindowSpec& window() const { return window_; }
 
  private:
@@ -61,6 +114,7 @@ class MedianPredictor final : public Predictor {
   MedianPredictor(std::string name, WindowSpec window);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
   const WindowSpec& window() const { return window_; }
 
  private:
@@ -73,6 +127,7 @@ class LastValuePredictor final : public Predictor {
   explicit LastValuePredictor(std::string name = "LV");
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
 };
 
 /// The paper's ARIMA-model technique: ordinary least squares on
@@ -86,8 +141,8 @@ class ArPredictor final : public Predictor {
   ArPredictor(std::string name, WindowSpec window, std::size_t min_samples = 3);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
   const WindowSpec& window() const { return window_; }
-  std::size_t min_samples() const { return min_samples_; }
 
  private:
   WindowSpec window_;
@@ -105,11 +160,8 @@ class ClassifiedPredictor final : public Predictor {
                       SizeClassifier classifier);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
+  std::unique_ptr<StreamingPredictor> stream() const override;
   const Predictor& base() const { return *base_; }
-  /// Shared ownership of the base, for adapters that may outlive this
-  /// wrapper (predict::make_streaming).
-  const std::shared_ptr<const Predictor>& base_ptr() const { return base_; }
-  const SizeClassifier& classifier() const { return classifier_; }
 
  private:
   std::shared_ptr<const Predictor> base_;

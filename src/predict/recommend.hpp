@@ -5,7 +5,8 @@
 // site publishing predictions must pick a technique.  recommend() does
 // what Section 6 does by hand: replay the series against the battery
 // and rank by mean percentage error.  (The NWS alternative, dynamic
-// selection at query time, lives in predict/online.hpp.)
+// selection at query time, is predict::DynamicSelector in
+// predict/incremental.hpp.)
 #pragma once
 
 #include <optional>

@@ -168,6 +168,11 @@ std::optional<Bandwidth> RegressionPredictor::predict(
   return core.predict();
 }
 
+std::unique_ptr<StreamingPredictor> RegressionPredictor::stream() const {
+  return std::make_unique<StreamingRegression>(name(), model_, window_,
+                                               min_samples_);
+}
+
 // ---------------------------------------------------------------------------
 // StreamingRegression
 

@@ -35,7 +35,6 @@
 #include <optional>
 
 #include "predict/classifier.hpp"
-#include "predict/incremental.hpp"
 #include "predict/predictors.hpp"
 #include "predict/suite.hpp"
 #include "predict/window.hpp"
@@ -101,9 +100,7 @@ class RegressionPredictor final : public Predictor {
                       std::size_t min_samples = 5);
   std::optional<Bandwidth> predict(std::span<const Observation> history,
                                    const Query& query) const override;
-  RegressionModel model() const { return model_; }
-  const WindowSpec& window() const { return window_; }
-  std::size_t min_samples() const { return min_samples_; }
+  std::unique_ptr<StreamingPredictor> stream() const override;
 
  private:
   RegressionModel model_;

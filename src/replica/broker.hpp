@@ -113,9 +113,9 @@ class ReplicaBroker {
   /// Name the quality plane files this broker's served predictions
   /// under (and checks drift against).  The broker's ranking input is
   /// the provider's classified last-15 mean, i.e. AVG15/fs — the
-  /// default — but a deployment arbitrating the regression battery can
-  /// point ranking at the challenger (e.g. "MREG25/fs") so demotions
-  /// track the battery actually serving.
+  /// default — but a deployment serving another battery member (e.g.
+  /// "MREG25/fs") can point ranking at it so demotions track the
+  /// predictor actually serving.
   void set_ranking_predictor(std::string name) {
     ranking_predictor_ = std::move(name);
   }

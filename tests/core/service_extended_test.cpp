@@ -31,7 +31,7 @@ SeriesKey key() {
 
 TEST(ServiceExtendedBatteryTest, ExtendedPredictorsAvailable) {
   ServiceConfig config;
-  config.use_extended_battery = true;
+  config.battery = ServiceConfig::Battery::kExtended;
   PredictionService service(config);
   EXPECT_GE(service.suite().size(), 38u);
   EXPECT_NE(service.suite().find("SREG"), nullptr);
@@ -57,7 +57,7 @@ TEST(ServiceExtendedBatteryTest, PaperBatteryLacksExtensions) {
 
 TEST(ServiceExtendedBatteryTest, ExtendedDefaultPredictorWorks) {
   ServiceConfig config;
-  config.use_extended_battery = true;
+  config.battery = ServiceConfig::Battery::kExtended;
   config.default_predictor = "SREG";
   PredictionService service(config);
   for (int i = 0; i < 30; ++i) {
@@ -70,7 +70,7 @@ TEST(ServiceExtendedBatteryTest, ExtendedDefaultPredictorWorks) {
 
 TEST(ServiceExtendedBatteryTest, EvaluateCoversExtendedBattery) {
   ServiceConfig config;
-  config.use_extended_battery = true;
+  config.battery = ServiceConfig::Battery::kExtended;
   PredictionService service(config);
   for (int i = 0; i < 50; ++i) {
     service.ingest(record(100.0 + i * 100, 4.0 + (i % 3) * 0.5, 100 * kMB));

@@ -158,10 +158,10 @@ TEST(ExportTest, UlmLinesRoundTripThroughTheSharedParser) {
 TEST(ExportTest, EventSinkEmitsParseableUlm) {
   EventSink sink(4);
   util::UlmRecord extra;
-  extra.set("REASON", "no_stream");
-  sink.emit("predict.fallback", "wadp.core", std::move(extra));
+  extra.set("RULE", "serving.hit_rate");
+  sink.emit("health.alert", "wadp.health", std::move(extra));
   EXPECT_EQ(sink.to_text(),
-            "EVNT=predict.fallback PROG=wadp.core REASON=no_stream\n");
+            "EVNT=health.alert PROG=wadp.health RULE=serving.hit_rate\n");
   EXPECT_EQ(sink.emitted_total(), 1u);
 }
 

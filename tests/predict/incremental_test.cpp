@@ -1,16 +1,19 @@
-// Streaming/batch equivalence: every incremental state must answer
-// exactly what its stateless counterpart computes over the accumulated
-// history prefix — on every prefix, for all thirty paper predictors.
+// Streaming/batch equivalence: every predictor's stream() must answer
+// exactly what its stateless definition computes over the accumulated
+// history prefix — on every prefix, for every battery in the system.
 #include "predict/incremental.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "core/prediction_service.hpp"
+#include "nws/forecaster.hpp"
 #include "predict/evaluator.hpp"
-#include "predict/online.hpp"
+#include "predict/extended.hpp"
+#include "predict/regression.hpp"
 #include "predict/suite.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -37,6 +40,34 @@ std::vector<Observation> irregular_series(std::uint64_t seed, std::size_t n) {
   return out;
 }
 
+/// irregular_series carrying the regression battery's end-system
+/// signals: disk and probe samples on most records, with gaps (0) that
+/// the regression members must skip.
+std::vector<Observation> carrying_series(std::uint64_t seed, std::size_t n) {
+  auto out = irregular_series(seed, n);
+  util::Rng rng(seed + 1000);
+  for (auto& o : out) {
+    o.disk = rng.uniform(0.0, 1.0) < 0.9 ? rng.uniform(1e7, 6e7) : 0.0;
+    o.probe = rng.uniform(0.0, 1.0) < 0.8 ? rng.uniform(3e6, 2e7) : 0.0;
+  }
+  return out;
+}
+
+/// NWS probes every 20 minutes across the span of carrying_series, for
+/// the hybrid GridFTP+NWS predictor to read.
+const std::vector<nws::ProbeMeasurement>& probe_series() {
+  static const auto probes = [] {
+    util::Rng rng(99);
+    std::vector<nws::ProbeMeasurement> out;
+    for (double t = 0.0; t < 400.0 * util::kSecondsPerHour; t += 1200.0) {
+      out.push_back(
+          {.time = t, .value = rng.uniform(1e6, 4e6), .duration = 5.0});
+    }
+    return out;
+  }();
+  return probes;
+}
+
 std::vector<Observation> constant_series(std::size_t n, double value) {
   std::vector<Observation> out;
   for (std::size_t i = 0; i < n; ++i) {
@@ -55,35 +86,17 @@ bool bit_identical_family(const std::string& name) {
          name.find("AR") == std::string::npos;
 }
 
-TEST(StreamingSuiteTest, MirrorsPaperSuiteNameForName) {
-  const auto batch = PredictorSuite::paper_suite();
-  const auto streaming = StreamingSuite::paper_suite();
-  ASSERT_EQ(streaming.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_NE(streaming.predictor(i), nullptr) << i;
-    EXPECT_EQ(streaming.predictor(i)->name(), batch.predictors()[i]->name());
-    EXPECT_EQ(streaming.names()[i], batch.predictors()[i]->name());
-  }
-  EXPECT_NE(streaming.find("AVG15/fs"), nullptr);
-  EXPECT_EQ(streaming.find("NOPE"), nullptr);
-}
-
-TEST(StreamingSuiteTest, FromAdaptsEveryPaperMember) {
-  const auto batch = PredictorSuite::paper_suite();
-  const auto streaming = StreamingSuite::from(batch);
-  ASSERT_EQ(streaming.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_NE(streaming.predictor(i), nullptr)
-        << batch.predictors()[i]->name();
-  }
-}
-
-TEST(StreamingEquivalenceTest, EveryPrefixAllThirtyPredictors) {
-  const auto series = irregular_series(7, 150);
-  const auto suite = PredictorSuite::paper_suite();
+/// The oracle check: every member's stream() answers what its stateless
+/// predict() computes over the same prefix, at every prefix of a
+/// disk/probe-carrying series with evicting gaps.
+void expect_every_prefix_matches(const PredictorSuite& suite) {
+  const auto series = carrying_series(7, 150);
+  ASSERT_GT(suite.size(), 0u);
   for (const auto& predictor : suite.predictors()) {
-    auto state = make_streaming(*predictor);
+    auto state = predictor->stream();
     ASSERT_NE(state, nullptr) << predictor->name();
+    EXPECT_EQ(state->name(), predictor->name());
+    std::size_t answered = 0;
     for (std::size_t i = 0; i < series.size(); ++i) {
       const Query query{.time = series[i].time,
                         .file_size = series[i].file_size};
@@ -93,6 +106,7 @@ TEST(StreamingEquivalenceTest, EveryPrefixAllThirtyPredictors) {
       ASSERT_EQ(batch.has_value(), streamed.has_value())
           << predictor->name() << " at prefix " << i;
       if (batch) {
+        ++answered;
         if (bit_identical_family(predictor->name())) {
           EXPECT_DOUBLE_EQ(*batch, *streamed)
               << predictor->name() << " at prefix " << i;
@@ -104,144 +118,142 @@ TEST(StreamingEquivalenceTest, EveryPrefixAllThirtyPredictors) {
       }
       state->observe(series[i]);
     }
+    // A member that never answers would pass vacuously.
+    EXPECT_GT(answered, 0u) << predictor->name();
   }
+}
+
+TEST(StreamingEquivalenceTest, EveryPrefixAllThirtyPredictors) {
+  expect_every_prefix_matches(PredictorSuite::paper_suite());
+}
+
+TEST(StreamingEquivalenceTest, EveryPrefixExtendedBattery) {
+  expect_every_prefix_matches(extended_suite());
+}
+
+TEST(StreamingEquivalenceTest, EveryPrefixRegressionBattery) {
+  const auto suite = regression_suite();
+  EXPECT_EQ(suite.size(), 46u);
+  expect_every_prefix_matches(suite);
+}
+
+TEST(StreamingEquivalenceTest, EveryPrefixNwsForecasterBattery) {
+  const auto suite = nws::nws_forecaster_battery();
+  EXPECT_EQ(suite.size(), 7u);
+  expect_every_prefix_matches(suite);
+}
+
+TEST(StreamingEquivalenceTest, EveryPrefixHybridNws) {
+  PredictorSuite suite;
+  suite.add(std::make_shared<nws::HybridNwsPredictor>("HYBRID",
+                                                      &probe_series()));
+  expect_every_prefix_matches(suite);
 }
 
 TEST(StreamingEquivalenceTest, ConstantSeriesIsExactForAllThirty) {
   const auto series = constant_series(60, 5.0);
-  auto streaming = StreamingSuite::paper_suite();
+  const auto suite = PredictorSuite::paper_suite();
+  std::vector<std::unique_ptr<StreamingPredictor>> states;
+  for (const auto& predictor : suite.predictors()) {
+    states.push_back(predictor->stream());
+  }
   for (std::size_t i = 0; i < series.size(); ++i) {
     if (i >= 3) {
-      const auto all = streaming.predict_all(
-          Query{.time = series[i].time, .file_size = series[i].file_size});
-      for (const auto& [name, value] : all) {
-        if (value) {
-          EXPECT_DOUBLE_EQ(*value, 5.0) << name;
+      const Query query{.time = series[i].time,
+                        .file_size = series[i].file_size};
+      for (const auto& state : states) {
+        if (const auto value = state->predict(query)) {
+          EXPECT_DOUBLE_EQ(*value, 5.0) << state->name();
         }
       }
     }
-    streaming.observe(series[i]);
+    for (const auto& state : states) state->observe(series[i]);
   }
 }
 
-TEST(StreamingEquivalenceTest, UnsupportedPredictorIsNotAdapted) {
-  // A family make_streaming has no case for must yield nullptr, and a
-  // classified wrapper around it must not be half-adapted either.
-  class OpaquePredictor final : public Predictor {
-   public:
-    OpaquePredictor() : Predictor("OPAQUE") {}
-    std::optional<Bandwidth> predict(std::span<const Observation>,
-                                     const Query&) const override {
-      return std::nullopt;
+/// The O(N²) reference the streaming evaluator replaced: every
+/// prediction recomputed from its history prefix, then scored exactly
+/// as Evaluator::run scores (same class split, same tie tolerance).
+struct PrefixReplay {
+  std::vector<ErrorStats> errors;      // [predictor][class + 1]
+  std::vector<RelativeStats> relative;  // same layout
+  std::size_t slots_per_predictor = 0;
+
+  const ErrorStats& error(std::size_t p, int cls) const {
+    return errors[p * slots_per_predictor + static_cast<std::size_t>(cls + 1)];
+  }
+  const RelativeStats& rel(std::size_t p, int cls) const {
+    return relative[p * slots_per_predictor +
+                    static_cast<std::size_t>(cls + 1)];
+  }
+};
+
+PrefixReplay prefix_replay(std::span<const Observation> series,
+                           const PredictorSuite& suite,
+                           const EvalConfig& config) {
+  constexpr double kTieEpsilon = 1e-9;
+  PrefixReplay out;
+  out.slots_per_predictor =
+      static_cast<std::size_t>(config.classifier.num_classes()) + 1;
+  out.errors.resize(suite.size() * out.slots_per_predictor);
+  out.relative.resize(suite.size() * out.slots_per_predictor);
+  for (std::size_t i = config.training_count; i < series.size(); ++i) {
+    const Observation& actual = series[i];
+    const Query query{.time = actual.time, .file_size = actual.file_size};
+    const int cls = config.classifier.classify(actual.file_size);
+    std::vector<double> errors(suite.size(),
+                               std::numeric_limits<double>::quiet_NaN());
+    double best = std::numeric_limits<double>::infinity();
+    double worst = -std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < suite.size(); ++p) {
+      const auto predicted =
+          suite.predictors()[p]->predict(series.first(i), query);
+      if (!predicted) continue;
+      errors[p] = util::percent_error(actual.value, *predicted);
+      best = std::min(best, errors[p]);
+      worst = std::max(worst, errors[p]);
     }
-  };
-  const OpaquePredictor opaque;
-  EXPECT_EQ(make_streaming(opaque), nullptr);
-  const ClassifiedPredictor classified(std::make_shared<OpaquePredictor>(),
-                                       SizeClassifier::paper_classes());
-  EXPECT_EQ(make_streaming(classified), nullptr);
+    for (std::size_t p = 0; p < suite.size(); ++p) {
+      if (std::isnan(errors[p])) continue;
+      for (const int slot : {0, cls + 1}) {
+        const std::size_t at =
+            p * out.slots_per_predictor + static_cast<std::size_t>(slot);
+        out.errors[at].add(errors[p]);
+        auto& rel = out.relative[at];
+        ++rel.opportunities;
+        if (errors[p] <= best + kTieEpsilon) ++rel.best;
+        if (errors[p] >= worst - kTieEpsilon) ++rel.worst;
+      }
+    }
+  }
+  return out;
 }
 
 TEST(EvaluatorEngineTest, StreamingMatchesLegacyAggregates) {
   const auto series = irregular_series(11, 140);
   const auto suite = PredictorSuite::paper_suite();
+  const EvalConfig config;
 
-  EvalConfig legacy_config;
-  legacy_config.engine = EvalConfig::Engine::kLegacy;
-  EvalConfig streaming_config;
-  streaming_config.engine = EvalConfig::Engine::kStreaming;
+  const auto legacy = prefix_replay(series, suite, config);
+  const auto streaming = Evaluator(config).run(series, suite.pointers());
 
-  const auto legacy = Evaluator(legacy_config).run(series, suite.pointers());
-  const auto streaming =
-      Evaluator(streaming_config).run(series, suite.pointers());
-
-  ASSERT_EQ(legacy.predictor_names(), streaming.predictor_names());
-  ASSERT_EQ(legacy.evaluated_transfers(), streaming.evaluated_transfers());
+  ASSERT_EQ(streaming.evaluated_transfers(),
+            series.size() - config.training_count);
   for (std::size_t p = 0; p < suite.size(); ++p) {
     for (int cls = EvaluationResult::kAllClasses; cls < 4; ++cls) {
-      const auto& a = legacy.errors(p, cls);
+      const auto& a = legacy.error(p, cls);
       const auto& b = streaming.errors(p, cls);
       ASSERT_EQ(a.count(), b.count()) << p << "/" << cls;
       EXPECT_NEAR(a.sum(), b.sum(), 1e-6);
       EXPECT_NEAR(a.min(), b.min(), 1e-9);
       EXPECT_NEAR(a.max(), b.max(), 1e-9);
       EXPECT_NEAR(a.stddev(), b.stddev(), 1e-6);
-      const auto& ra = legacy.relative(p, cls);
+      const auto& ra = legacy.rel(p, cls);
       const auto& rb = streaming.relative(p, cls);
       EXPECT_EQ(ra.opportunities, rb.opportunities) << p << "/" << cls;
       EXPECT_EQ(ra.best, rb.best) << p << "/" << cls;
       EXPECT_EQ(ra.worst, rb.worst) << p << "/" << cls;
     }
-  }
-}
-
-TEST(EvaluatorEngineTest, StreamingThreadedMatchesSinglePass) {
-  const auto series = irregular_series(13, 120);
-  const auto suite = PredictorSuite::paper_suite();
-
-  EvalConfig serial_config;
-  serial_config.threads = 1;
-  serial_config.keep_samples = true;
-  EvalConfig threaded_config;
-  threaded_config.threads = 4;
-  threaded_config.keep_samples = true;
-
-  const auto serial = Evaluator(serial_config).run(series, suite.pointers());
-  const auto threaded =
-      Evaluator(threaded_config).run(series, suite.pointers());
-
-  // Identical streaming replays -> bit-identical everything.
-  ASSERT_EQ(serial.samples().size(), threaded.samples().size());
-  for (std::size_t i = 0; i < serial.samples().size(); ++i) {
-    EXPECT_EQ(serial.samples()[i].predictions,
-              threaded.samples()[i].predictions);
-  }
-  for (std::size_t p = 0; p < suite.size(); ++p) {
-    EXPECT_EQ(serial.errors(p).count(), threaded.errors(p).count());
-    EXPECT_DOUBLE_EQ(serial.errors(p).sum(), threaded.errors(p).sum());
-  }
-}
-
-TEST(OnlineStreamingTest, HistoryPredictorMatchesStatelessReplay) {
-  const auto series = irregular_series(17, 80);
-  const auto suite = PredictorSuite::paper_suite();
-  for (const auto& base : suite.predictors()) {
-    HistoryPredictor online(base);
-    for (std::size_t i = 0; i < series.size(); ++i) {
-      const Query query{.time = series[i].time,
-                        .file_size = series[i].file_size};
-      const auto batch = base->predict(
-          std::span<const Observation>(series).first(i), query);
-      const auto streamed = online.predict(query);
-      ASSERT_EQ(batch.has_value(), streamed.has_value()) << base->name();
-      if (batch) {
-        EXPECT_NEAR(*batch, *streamed, std::max(1e-9, 1e-9 * std::abs(*batch)))
-            << base->name();
-      }
-      online.observe(series[i]);
-    }
-  }
-}
-
-TEST(OnlineStreamingTest, TimeTravellingQueryFallsBackToHistory) {
-  // A temporal window queried far in the future evicts old history; a
-  // later query *before* the eviction frontier must still be exact.
-  const auto series = irregular_series(19, 40);
-  const auto base = std::make_shared<MeanPredictor>(
-      "AVG5hr", WindowSpec::last_duration(5 * util::kSecondsPerHour));
-  HistoryPredictor online(base);
-  for (const auto& obs : series) online.observe(obs);
-
-  const double late = series.back().time + 30 * util::kSecondsPerHour;
-  (void)online.predict(Query{.time = late, .file_size = 10 * kMB});
-
-  const double early = series[series.size() / 2].time;
-  const Query back_query{.time = early, .file_size = 10 * kMB};
-  const auto expected = base->predict(series, back_query);
-  const auto actual = online.predict(back_query);
-  ASSERT_EQ(expected.has_value(), actual.has_value());
-  if (expected) {
-    EXPECT_DOUBLE_EQ(*expected, *actual);
   }
 }
 
@@ -300,12 +312,14 @@ gridftp::TransferRecord service_record(double end, double bw_mb, Bytes size) {
   return r;
 }
 
+const SeriesKey kServiceKey{.host = "dpsslx04.lbl.gov",
+                            .remote_ip = "140.221.65.69",
+                            .op = gridftp::Operation::kRead};
+
 TEST(PredictionServiceStreamingTest, OutOfOrderIngestStaysConsistent) {
   // The streaming battery is invalidated and replayed when a record
   // lands mid-series, so answers always match the sorted history.
-  const SeriesKey key{.host = "dpsslx04.lbl.gov",
-                      .remote_ip = "140.221.65.69",
-                      .op = gridftp::Operation::kRead};
+  const SeriesKey& key = kServiceKey;
   PredictionService ordered;
   PredictionService interleaved;
   std::vector<gridftp::TransferRecord> records;
@@ -337,6 +351,52 @@ TEST(PredictionServiceStreamingTest, OutOfOrderIngestStaysConsistent) {
     ASSERT_EQ(all_a[i].second.has_value(), all_b[i].second.has_value())
         << all_a[i].first;
   }
+}
+
+TEST(PredictionServiceStreamingTest, TimeTravellingQueryReplaysSnapshot) {
+  // A query far in the future advances AVG5hr/fs's eviction frontier;
+  // a later query behind that frontier must replay the snapshot through
+  // a fresh stream and still equal the stateless oracle — through both
+  // predict() and predict_many(), each answer counted as a time-travel.
+  constexpr const char* kName = "AVG5hr/fs";
+  PredictionService service;
+  for (int i = 0; i < 40; ++i) {
+    service.ingest(service_record(100.0 + i * 1800.0, 2.0 + (i % 5),
+                                  10 * kMB));
+  }
+  auto& time_travel = obs::Registry::global().counter(
+      "wadp_predict_fallback_total", {{"reason", "time_travel"}});
+  const auto snapshot = service.series(kServiceKey);
+  const predict::Predictor* oracle = service.suite().find(kName);
+  ASSERT_NE(oracle, nullptr);
+
+  const double late = snapshot.back().time + 30 * util::kSecondsPerHour;
+  (void)service.predict(kServiceKey, 10 * kMB, late, kName);
+
+  const std::uint64_t before = time_travel.value();
+  const std::vector<predict::Query> queries = {
+      {.time = snapshot.observations()[20].time, .file_size = 10 * kMB},
+      {.time = snapshot.observations()[30].time + 600.0,
+       .file_size = 10 * kMB},
+  };
+  for (const auto& query : queries) {
+    const auto expected = oracle->predict(snapshot.span(), query);
+    ASSERT_TRUE(expected.has_value());
+    const auto single =
+        service.predict(kServiceKey, query.file_size, query.time, kName);
+    ASSERT_TRUE(single.has_value());
+    EXPECT_DOUBLE_EQ(*single, *expected);
+  }
+  EXPECT_EQ(time_travel.value(), before + queries.size());
+
+  const auto batch = service.predict_many(kServiceKey, queries, kName);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    const auto expected = oracle->predict(snapshot.span(), queries[i]);
+    ASSERT_TRUE(batch[i].has_value());
+    EXPECT_DOUBLE_EQ(*batch[i], *expected);
+  }
+  EXPECT_EQ(time_travel.value(), before + 2 * queries.size());
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST(StreamingRegressionTest, IdenticalToBatchAtEveryPrefix) {
                            "PREG25", "HYB", "HYB25"}) {
     const Predictor* predictor = suite.find(name);
     ASSERT_NE(predictor, nullptr) << name;
-    auto stream = make_streaming(*predictor);
+    auto stream = predictor->stream();
     ASSERT_NE(stream, nullptr) << name;
     std::vector<Observation> history;
     for (const auto& o : series) {
@@ -294,7 +294,7 @@ TEST(RegressionDegenerateTest, DiskFreeHistoryAnswersNullopt) {
     const Predictor* predictor = suite.find(name);
     ASSERT_NE(predictor, nullptr) << name;
     EXPECT_FALSE(predictor->predict(history, query).has_value()) << name;
-    auto stream = make_streaming(*predictor);
+    auto stream = predictor->stream();
     for (const auto& o : history) stream->observe(o);
     EXPECT_FALSE(stream->predict(query).has_value()) << name;
   }

@@ -55,7 +55,7 @@ TEST(StreamingFailureEquivalenceTest, EveryPrefixAllThirtyPredictors) {
 
   const auto suite = PredictorSuite::paper_suite();
   for (const auto& predictor : suite.predictors()) {
-    auto state = make_streaming(*predictor);
+    auto state = predictor->stream();
     ASSERT_NE(state, nullptr) << predictor->name();
     for (std::size_t i = 0; i < series.size(); ++i) {
       const Query query{.time = series[i].time,

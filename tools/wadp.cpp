@@ -114,7 +114,9 @@ Expected<gridftp::TransferLog> load_log(const util::ArgParser& args) {
 std::unique_ptr<core::PredictionService> make_service(
     const util::ArgParser& args, const gridftp::TransferLog& log) {
   core::ServiceConfig config;
-  config.use_extended_battery = args.has("extended");
+  if (args.has("extended")) {
+    config.battery = core::ServiceConfig::Battery::kExtended;
+  }
   if (const auto training = args.get_int("training")) {
     config.training_count = static_cast<std::size_t>(*training);
   }
@@ -1411,8 +1413,8 @@ int cmd_quality(const util::ArgParser& args) {
   const auto report = result.tracker->report();
 
   // Head-to-head aggregate: one row per predictor, count-weighted mean
-  // percent error across every site and size class — the arbitration
-  // view (which battery member is winning overall, old or new).
+  // percent error across every site and size class — which battery
+  // member is winning overall, old or new.
   struct HeadToHead {
     std::string predictor;
     std::size_t count = 0;
