@@ -1,6 +1,6 @@
 // Health-plane budgets: scrape overhead and alert latency.
 //
-// Two panels back the observability plane's claims:
+// Three kinds of panel back the observability plane's claims:
 //
 //  * SCRAPE OVERHEAD — the `wadp serve` fleet (admission disabled, the
 //    cached read path) runs paced batches while a MetricsRecorder
@@ -9,6 +9,20 @@
 //    enforced bound: total time inside scrape+evaluate <= 1% of the
 //    loop's wall time.  A scrape that locked writers or walked
 //    histogram buckets per-quantile would blow this immediately.
+//
+//  * SIMULATION OVERHEAD — the health tick priced on the two
+//    simulation verbs it is wired into, at their own cadences: the
+//    paper's 120-day August campaign with the hourly scrape (`wadp campaign`)
+//    and the default 24-site `wadp simgrid` grid with a 1 s scrape.
+//    Enforced, on the median of three runs each: scrape+evaluate
+//    <= 10% of campaign wall time and <= 1% of simgrid wall time.
+//    The ROADMAP's 5% campaign target is printed alongside but is
+//    informational: a campaign hour is cheap to simulate, so between
+//    ticks the simulator evicts the recorder's ~180 rings from cache
+//    and every scrape pays about one cache miss per series on its ring
+//    slot.  On a 4-vCPU x86 VM one scrape of that registry costs ~4 us
+//    with a warm cache and ~18 us after an 8 MB sweep; a plan cannot
+//    remove that floor, only a time-major ring layout could.
 //
 //  * ALERT LATENCY — a staged incident on the two-replica delivery
 //    stack: transfers flow cleanly until the fault injector (every
@@ -21,6 +35,7 @@
 // twin must round-trip through util::parse_ulm_log with zero skipped
 // lines (CI additionally parses the JSON twin with Python).  Emits
 // BENCH_health.json.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -51,6 +66,8 @@
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/ulm.hpp"
+#include "workload/campaign.hpp"
+#include "workload/gridworld.hpp"
 
 namespace wadp::bench {
 namespace {
@@ -158,7 +175,108 @@ OverheadResult run_overhead_panel() {
   return result;
 }
 
-// --- Panel 2: staged incident, alert latency, flight capture. ---
+// --- Panel 2: the health tick on the simulation verbs. ---
+
+constexpr int kCampaignDays = 120;           ///< the August campaign
+constexpr double kCampaignCadence = 3600.0;  ///< `wadp campaign` tick
+constexpr double kCampaignGate = 0.10;
+constexpr double kCampaignTarget = 0.05;     ///< ROADMAP, informational
+constexpr double kGridSimSeconds = 20.0;
+constexpr double kGridCadence = 1.0;         ///< 1 sim-s scrapes
+constexpr double kGridGate = 0.01;
+/// Each simulation panel runs this many times and reports its median
+/// ratio, so one run disturbed by a noisy neighbour cannot decide it.
+constexpr int kSimulationRuns = 3;
+
+struct TickShare {
+  double run_wall = 0.0;   ///< whole simulation run, ticks included
+  double tick_wall = 0.0;  ///< time inside scrape+evaluate
+  std::uint64_t scrapes = 0;
+  std::size_t series = 0;
+  double ratio() const {
+    return run_wall > 0.0 ? tick_wall / run_wall : 0.0;
+  }
+  std::string describe() const {
+    return std::to_string(scrapes) + " x " +
+           fmt(scrapes > 0 ? 1e6 * tick_wall / static_cast<double>(scrapes)
+                           : 0.0,
+               1) +
+           " us over " + std::to_string(series) + " series";
+  }
+};
+
+/// The health tick exactly as the CLI wires it, timed.
+class TimedTick {
+ public:
+  explicit TimedTick(double cadence) {
+    monitor_.add_rules(obs::HealthMonitor::builtin_rules(cadence));
+  }
+  void operator()(SimTime now) {
+    const auto start = std::chrono::steady_clock::now();
+    recorder_.scrape(now);
+    monitor_.evaluate(now);
+    wall_ += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           start)
+                 .count();
+  }
+  TickShare result(double run_wall) const {
+    return {.run_wall = run_wall,
+            .tick_wall = wall_,
+            .scrapes = recorder_.scrapes(),
+            .series = recorder_.series_count()};
+  }
+
+ private:
+  obs::MetricsRecorder recorder_;
+  obs::HealthMonitor monitor_{recorder_};
+  double wall_ = 0.0;
+};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TickShare run_campaign_panel() {
+  TimedTick tick(kCampaignCadence);
+  workload::CampaignConfig config;
+  config.days = kCampaignDays;
+  config.health_interval = kCampaignCadence;
+  config.health_tick = [&tick](SimTime now) { tick(now); };
+  const auto start = std::chrono::steady_clock::now();
+  const auto run = workload::run_paper_campaign(
+      workload::Campaign::kAugust2001, kSeed, config);
+  const double wall = seconds_since(start);  // before the testbed's teardown
+  (void)run;
+  return tick.result(wall);
+}
+
+TickShare run_simgrid_panel() {
+  TimedTick tick(kGridCadence);
+  workload::GridSpec spec;  // the `wadp simgrid` default grid
+  workload::ScenarioConfig scenario;
+  scenario.duration = kGridSimSeconds;
+  scenario.health_interval = kGridCadence;
+  scenario.health_tick = [&tick](SimTime now) { tick(now); };
+  const auto start = std::chrono::steady_clock::now();
+  workload::GridWorld world(spec, kSeed);
+  world.run(scenario, kSeed ^ 0x5ce0ULL);
+  return tick.result(seconds_since(start));
+}
+
+template <typename Panel>
+TickShare median_run(Panel panel) {
+  std::vector<TickShare> runs;
+  for (int i = 0; i < kSimulationRuns; ++i) runs.push_back(panel());
+  std::sort(runs.begin(), runs.end(),
+            [](const TickShare& a, const TickShare& b) {
+              return a.ratio() < b.ratio();
+            });
+  return runs[runs.size() / 2];
+}
+
+// --- Panel 3: staged incident, alert latency, flight capture. ---
 
 constexpr double kInterval = 60.0;       ///< scrape interval, sim seconds
 constexpr SimTime kFaultTime = 1205.0;   ///< injector attached here
@@ -316,9 +434,15 @@ long ulm_round_trip(const std::string& path) {
 int run() {
   banner("Health plane: scrape overhead and alert latency",
          "a 10 Hz registry scrape must cost <= 1% of serving wall time; "
-         "a staged fault must alert within two scrape intervals and "
-         "leave a parseable flight bundle");
+         "the hourly campaign tick <= 10% and the 1 s simgrid tick <= 1% "
+         "of the run's wall time; a staged fault must alert within two "
+         "scrape intervals and leave a parseable flight bundle");
 
+  // The simulation panels run first, so each scrapes a registry holding
+  // what its CLI verb registers rather than every earlier panel's
+  // metrics too (the campaign's ~180 series, not ~250).
+  const TickShare campaign = median_run(run_campaign_panel);
+  const TickShare simgrid = median_run(run_simgrid_panel);
   const OverheadResult overhead = run_overhead_panel();
   const IncidentResult incident = run_incident_panel();
   const long ulm_records =
@@ -335,6 +459,15 @@ int run() {
   table.add_row({"series recorded", std::to_string(overhead.series), "-"});
   table.add_row({"scrape overhead",
                  fmt(100.0 * overhead.ratio(), 3) + " %", "<= 1 %"});
+  table.add_row({"campaign ticks (hourly)", campaign.describe(), "-"});
+  table.add_row({"campaign scrape overhead",
+                 fmt(100.0 * campaign.ratio(), 2) + " %",
+                 "<= " + fmt(100.0 * kCampaignGate, 0) + " % (roadmap <= " +
+                     fmt(100.0 * kCampaignTarget, 0) + " %, informational)"});
+  table.add_row({"simgrid ticks (1 s)", simgrid.describe(), "-"});
+  table.add_row({"simgrid scrape overhead",
+                 fmt(100.0 * simgrid.ratio(), 3) + " %",
+                 "<= " + fmt(100.0 * kGridGate, 0) + " %"});
   table.add_row({"incident transfers ok", std::to_string(incident.ok), "-"});
   table.add_row({"alert lag",
                  incident.alert_time < 0.0 ? std::string("NO ALERT")
@@ -361,6 +494,12 @@ int run() {
   registry.gauge("wadp_bench_health_serving_qps", {},
                  "Serving throughput with the 10 Hz scrape cadence attached")
       .set(overhead.queries / overhead.serve_wall);
+  registry.gauge("wadp_bench_health_campaign_overhead_ratio", {},
+                 "Hourly scrape+evaluate wall time / wadp campaign wall time")
+      .set(campaign.ratio());
+  registry.gauge("wadp_bench_health_simgrid_overhead_ratio", {},
+                 "1 s scrape+evaluate wall time / wadp simgrid wall time")
+      .set(simgrid.ratio());
   registry.gauge("wadp_bench_health_alert_lag_seconds", {},
                  "Sim seconds from fault injection to the burn-rate alert")
       .set(incident.lag());
@@ -382,6 +521,16 @@ int run() {
   if (overhead.ratio() > kOverheadGate) {
     std::fprintf(stderr, "FAIL: scrape overhead %.4f > %.2f\n",
                  overhead.ratio(), kOverheadGate);
+    ok = false;
+  }
+  if (campaign.ratio() > kCampaignGate) {
+    std::fprintf(stderr, "FAIL: campaign scrape overhead %.4f > %.2f\n",
+                 campaign.ratio(), kCampaignGate);
+    ok = false;
+  }
+  if (simgrid.ratio() > kGridGate) {
+    std::fprintf(stderr, "FAIL: simgrid scrape overhead %.4f > %.2f\n",
+                 simgrid.ratio(), kGridGate);
     ok = false;
   }
   if (incident.alert_time < 0.0 || incident.lag() > 2.0 * kInterval) {

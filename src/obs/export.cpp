@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <limits>
+#include <vector>
 
 #include "util/strings.hpp"
 #include "util/ulm.hpp"
@@ -88,6 +89,7 @@ constexpr double kQuantiles[] = {0.5, 0.9, 0.99};
 
 std::string to_prometheus(const Registry& registry) {
   std::string out;
+  std::vector<Histogram::BucketCount> buckets;
   for (const auto& family : registry.families()) {
     if (!family.help.empty()) {
       out += "# HELP " + family.name + " " +
@@ -112,13 +114,17 @@ std::string to_prometheus(const Registry& registry) {
         out += "# TYPE " + family.name + " histogram\n";
         for (const auto& instrument : family.instruments) {
           const Histogram& h = *instrument.histogram;
-          std::uint64_t total = 0;
-          for (const auto& [upper, cumulative] : h.cumulative_buckets()) {
+          const std::uint64_t total = h.walk_buckets(buckets);
+          std::uint64_t cumulative = 0;
+          for (const Histogram::BucketCount& bucket : buckets) {
+            cumulative += bucket.count;
+            // The overflow slot's bound is +Inf: the line below says it.
+            if (bucket.index == Histogram::kBucketCount - 1) break;
             out += family.name + "_bucket" +
-                   prometheus_labels_with(instrument.labels, "le",
-                                          number(upper)) +
+                   prometheus_labels_with(
+                       instrument.labels, "le",
+                       number(Histogram::bucket_upper_bound(bucket.index))) +
                    " " + std::to_string(cumulative) + "\n";
-            total = cumulative;
           }
           out += family.name + "_bucket" +
                  prometheus_labels_with(instrument.labels, "le", "+Inf") + " " +

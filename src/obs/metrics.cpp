@@ -35,7 +35,8 @@ Histogram::Histogram()
 }
 
 std::size_t Histogram::bucket_index(double value) {
-  if (!(value > 0.0) || !std::isfinite(value)) return 0;  // underflow slot
+  if (!(value > 0.0)) return 0;  // non-positive and NaN: underflow slot
+  if (std::isinf(value)) return kBucketCount - 1;  // +inf: overflow slot
   int exponent = 0;
   const double mantissa = std::frexp(value, &exponent);  // in [0.5, 1)
   // Normalize to frac in [1, 2) over octave e = exponent - 1.
@@ -99,59 +100,56 @@ double Histogram::mean() const {
            : 0.0;
 }
 
-std::vector<std::uint64_t> Histogram::snapshot_buckets(
-    std::uint64_t* total) const {
-  std::vector<std::uint64_t> out(kBucketCount);
-  std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < kBucketCount; ++i) {
-    out[i] = buckets_[i].load(std::memory_order_relaxed);
-    sum += out[i];
-  }
-  if (total != nullptr) *total = sum;
-  return out;
+std::uint64_t Histogram::walk_buckets(std::vector<BucketCount>& out) const {
+  out.clear();
+  // bucket_index is monotone, so every positive sample lies between
+  // the buckets of min and max; the rest (non-positive, NaN) sit in
+  // the underflow slot, which min/max do not bound.  An empty
+  // histogram (min +inf, max -inf) yields an empty range.
+  const double lowest = min_.load(std::memory_order_relaxed);
+  const double highest = max_.load(std::memory_order_relaxed);
+  const std::size_t first = std::max<std::size_t>(1, bucket_index(lowest));
+  const std::size_t last = bucket_index(highest);
+  std::uint64_t total = 0;
+  const auto visit = [&](std::size_t i) {
+    const std::uint64_t n = buckets_[i].load(std::memory_order_relaxed);
+    if (n == 0) return;
+    out.push_back({i, n});
+    total += n;
+  };
+  visit(0);
+  for (std::size_t i = first; i <= last; ++i) visit(i);
+  return total;
 }
 
 double Histogram::quantile(double q) const {
   WADP_CHECK(q >= 0.0 && q <= 1.0);
-  // The rank comes from the snapshot's own total, so the walk is
+  // The rank comes from the walk's own total, so the interpolation is
   // self-consistent even if writers race the export.
-  std::uint64_t n = 0;
-  const std::vector<std::uint64_t> buckets = snapshot_buckets(&n);
+  thread_local std::vector<BucketCount> buckets;
+  const std::uint64_t n = walk_buckets(buckets);
   if (n == 0) return 0.0;
   const double observed_min = min_.load(std::memory_order_relaxed);
   const double observed_max = max_.load(std::memory_order_relaxed);
   // Rank of the target sample, 1-based, linear between extremes.
   const double rank = 1.0 + q * static_cast<double>(n - 1);
   std::uint64_t seen = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
+  for (const BucketCount& bucket : buckets) {
     const auto below = static_cast<double>(seen);
-    seen += buckets[i];
+    seen += bucket.count;
     if (static_cast<double>(seen) + 1e-12 < rank) continue;
     // Interpolate inside the landing bucket between its bounds,
     // clamped to the observed min/max so tails stay honest.
+    const std::size_t i = bucket.index;
     const double lo = std::max(i == 0 ? 0.0 : bucket_upper_bound(i - 1),
                                observed_min);
     const double hi = std::min(bucket_upper_bound(i), observed_max);
-    if (!(hi > lo)) return hi;
-    const double within =
-        (rank - below) / static_cast<double>(buckets[i]);
+    // An +inf upper end reads +inf outright: (hi - lo) * 0 is NaN.
+    if (!(hi > lo) || std::isinf(hi)) return hi;
+    const double within = (rank - below) / static_cast<double>(bucket.count);
     return lo + (hi - lo) * std::min(1.0, std::max(0.0, within));
   }
   return observed_max;
-}
-
-std::vector<std::pair<double, std::uint64_t>> Histogram::cumulative_buckets()
-    const {
-  const std::vector<std::uint64_t> buckets = snapshot_buckets(nullptr);
-  std::vector<std::pair<double, std::uint64_t>> out;
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (buckets[i] == 0) continue;
-    cumulative += buckets[i];
-    out.emplace_back(bucket_upper_bound(i), cumulative);
-  }
-  return out;
 }
 
 Registry::Cell& Registry::resolve(std::string_view name, Labels labels,
@@ -186,6 +184,7 @@ Registry::Cell& Registry::resolve(std::string_view name, Labels labels,
       break;
   }
   family.cells.push_back(std::move(cell));
+  generation_.fetch_add(1, std::memory_order_release);
   return *family.cells.back();
 }
 

@@ -70,10 +70,10 @@ class Gauge {
 /// Log-linear-bucket histogram with streaming moments.  record() is
 /// lock-free: one relaxed fetch_add on the landing bucket plus CAS
 /// loops for sum/min/max, so concurrent writers never serialize and
-/// the path stays TSan-clean.  Readers (quantiles, exports) snapshot
-/// the buckets with relaxed loads; under concurrent writes a snapshot
-/// is approximate by design — each sample is eventually visible, and a
-/// quiesced histogram reads exactly.
+/// the path stays TSan-clean.  Readers (quantiles, exports, the
+/// recorder) walk the occupied bucket range with relaxed loads; under
+/// concurrent writes a walk is approximate by design — each sample is
+/// eventually visible, and a quiesced histogram reads exactly.
 class Histogram {
  public:
   /// 16 linear sub-buckets per power-of-two octave.
@@ -86,8 +86,9 @@ class Histogram {
 
   Histogram();
 
-  /// Records one sample.  Non-positive samples land in the underflow
-  /// bucket (quantiles treat them as 0) but still feed min/max/mean.
+  /// Records one sample.  Non-positive and NaN samples land in the
+  /// underflow bucket (quantiles treat them as 0), +inf in the overflow
+  /// bucket; all of them still feed min/max/mean.
   void record(double value);
 
   std::size_t count() const;
@@ -96,8 +97,9 @@ class Histogram {
   double max() const;  ///< 0 when empty
   double mean() const;
 
-  /// Quantile estimate, q in [0,1]: walks the cumulative bucket counts
-  /// and interpolates linearly inside the landing bucket.  0 when empty.
+  /// Quantile estimate, q in [0,1]: walks the non-empty buckets and
+  /// interpolates linearly inside the landing bucket.  0 when empty,
+  /// +inf when the landing bucket holds +inf samples.
   double quantile(double q) const;
 
   /// Bucket index for `value` (exposed for the accuracy tests).
@@ -105,15 +107,21 @@ class Histogram {
   /// Inclusive upper bound of bucket `index`.
   static double bucket_upper_bound(std::size_t index);
 
-  /// Non-empty buckets as (upper_bound, cumulative_count), for the
-  /// Prometheus exposition.  Snapshot under the lock.
-  std::vector<std::pair<double, std::uint64_t>> cumulative_buckets() const;
+  /// One non-empty bucket, as reported by walk_buckets().
+  struct BucketCount {
+    std::size_t index = 0;
+    std::uint64_t count = 0;
+  };
+
+  /// Replaces the contents of `out` with every non-empty bucket in
+  /// index order and returns their total.  Only the underflow slot and
+  /// [bucket_index(min), bucket_index(max)] can hold samples, so only
+  /// they are read; `out` keeps its capacity, so a reused buffer makes
+  /// the walk allocation-free.  Relaxed loads: under concurrent writes
+  /// the walk is approximate, a quiesced histogram reads exactly.
+  std::uint64_t walk_buckets(std::vector<BucketCount>& out) const;
 
  private:
-  /// Relaxed snapshot of the bucket array plus its total, so quantile
-  /// math and the cumulative walk agree on one view.
-  std::vector<std::uint64_t> snapshot_buckets(std::uint64_t* total) const;
-
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<double> sum_{0.0};
@@ -158,6 +166,13 @@ class Registry {
   /// Name-sorted snapshot of every family (deterministic exports).
   std::vector<Family> families() const;
 
+  /// Bumped each time a registration creates a new instrument (never
+  /// on a lookup of an existing one), so a consumer that caches
+  /// families() knows when its copy is stale.
+  std::uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
   /// Process-wide registry the wired-in call sites use.
   static Registry& global();
 
@@ -180,6 +195,7 @@ class Registry {
 
   mutable std::mutex mu_;
   std::map<std::string, FamilyCell, std::less<>> families_;
+  std::atomic<std::uint64_t> generation_{0};
 };
 
 }  // namespace wadp::obs

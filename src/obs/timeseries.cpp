@@ -24,51 +24,17 @@ std::string series_key(const std::string& name, const Labels& labels) {
   return out;
 }
 
-/// p50 and p99 from ONE cumulative-bucket snapshot.  The registry's
-/// Histogram::quantile() re-snapshots all ~2k buckets per call; at
-/// scrape cadence over dozens of histograms that walk dominates, so
-/// the recorder interpolates both targets in a single pass.
-struct QuantilePair {
-  double p50 = 0.0;
-  double p99 = 0.0;
-};
-
-QuantilePair quantiles_from_buckets(
-    const std::vector<std::pair<double, std::uint64_t>>& buckets) {
-  QuantilePair out;
-  if (buckets.empty()) return out;
-  const double total = static_cast<double>(buckets.back().second);
-  if (total <= 0.0) return out;
-
-  const double targets[2] = {0.5 * total, 0.99 * total};
-  double* slots[2] = {&out.p50, &out.p99};
-  std::size_t t = 0;
-  double prev_upper = 0.0;
-  double prev_cum = 0.0;
-  for (const auto& [upper, cumulative] : buckets) {
-    const double cum = static_cast<double>(cumulative);
-    while (t < 2 && cum >= targets[t]) {
-      const double span = cum - prev_cum;
-      const double frac = span > 0.0 ? (targets[t] - prev_cum) / span : 1.0;
-      *slots[t] = prev_upper + frac * (upper - prev_upper);
-      ++t;
-    }
-    if (t == 2) break;
-    prev_upper = upper;
-    prev_cum = cum;
-  }
-  // Ranks past the last bucket (rounding) land on the max bound.
-  for (; t < 2; ++t) *slots[t] = buckets.back().first;
-  return out;
-}
-
 }  // namespace
 
-void MetricsRecorder::Ring::push(TsSample sample) {
-  if (data.empty()) return;
-  data[head] = sample;
-  head = (head + 1) % data.size();
-  if (size < data.size()) ++size;
+void MetricsRecorder::Series::push(TsSample sample) {
+  ring[head] = sample;
+  if (++head == ring.size()) head = 0;
+  if (size < ring.size()) ++size;
+}
+
+const TsSample& MetricsRecorder::Series::at(std::size_t i) const {
+  const std::size_t cap = ring.size();
+  return ring[(head + cap - size + i) % cap];
 }
 
 MetricsRecorder::MetricsRecorder(RecorderConfig config)
@@ -97,58 +63,157 @@ MetricsRecorder::MetricsRecorder(RecorderConfig config)
 
 MetricsRecorder::~MetricsRecorder() { stop_wall_clock(); }
 
-MetricsRecorder::Ring* MetricsRecorder::ring_for(const std::string& series) {
-  auto it = rings_.find(series);
-  if (it != rings_.end()) return &it->second;
-  if (rings_.size() >= config_.max_series) {
-    ++dropped_series_;
-    dropped_total_.inc();
-    return nullptr;
+MetricsRecorder::Series* MetricsRecorder::series_for(std::string name) {
+  auto it = series_.find(name);
+  if (it == series_.end()) {
+    it = series_.emplace(std::move(name), &series_store_.emplace_back())
+             .first;
   }
-  return &rings_.emplace(series, Ring(config_.ring_capacity)).first->second;
+  return it->second;
 }
 
-void MetricsRecorder::record_point(const std::string& series, double now,
-                                   double value, std::size_t* points) {
-  Ring* ring = ring_for(series);
-  if (ring == nullptr) return;
-  ring->push({now, value});
+const MetricsRecorder::Series* MetricsRecorder::find_recorded(
+    const std::string& name) const {
+  auto it = series_.find(name);
+  return it != series_.end() && it->second->recorded() ? it->second
+                                                         : nullptr;
+}
+
+void MetricsRecorder::rebuild_plan(std::uint64_t generation) {
+  // families() snapshots under the registry lock; instruments live as
+  // long as the registry, so the plan keeps raw pointers to them.
+  const std::vector<Registry::Family> families = registry_.families();
+  plan_.clear();
+  for (const auto& family : families) {
+    bool labeled = false;
+    for (const auto& instrument : family.instruments) {
+      const std::string key = series_key(family.name, instrument.labels);
+      labeled = labeled || !instrument.labels.empty();
+      PlannedInstrument step;
+      step.counter = instrument.counter;
+      step.gauge = instrument.gauge;
+      step.histogram = instrument.histogram;
+      switch (family.kind) {
+        case Registry::Kind::kCounter:
+          step.value = series_for(key);
+          step.rate = series_for(key + kRateSuffix);
+          break;
+        case Registry::Kind::kGauge:
+          step.value = series_for(key);
+          break;
+        case Registry::Kind::kHistogram:
+          step.rate = series_for(key + kRateSuffix);
+          step.p50 = series_for(key + kP50Suffix);
+          step.p99 = series_for(key + kP99Suffix);
+          break;
+      }
+      plan_.push_back(step);
+    }
+    if (family.instruments.empty()) continue;
+    plan_.back().closes_family = true;
+    // Ratio rules (hit rate, shed ratio, join rate) want the family
+    // total, not one label cell — derive the label-summed rate too.
+    if (family.kind == Registry::Kind::kCounter && labeled) {
+      plan_.back().family_rate = series_for(family.name + kRateSuffix);
+    }
+  }
+  plan_generation_ = generation;
+}
+
+void MetricsRecorder::record_point(Series& series, double now, double value,
+                                   std::size_t* points) {
+  if (!series.recorded()) {
+    if (recorded_series_ >= config_.max_series) {
+      ++dropped_series_;
+      dropped_total_.inc();
+      return;
+    }
+    series.ring.resize(config_.ring_capacity);
+    ++recorded_series_;
+  }
+  series.push({now, value});
   ++*points;
 }
 
-void MetricsRecorder::record_rate(const std::string& series, double now,
-                                  double raw, std::size_t* points) {
-  Cumulative& prev = cumulative_[series];
+void MetricsRecorder::record_rate(Series& series, double now, double raw,
+                                  std::size_t* points) {
   // A counter first seen after scraping has begun implicitly sat at
   // zero until its first increment — synthesize that origin so the
   // series yields a rate on its FIRST scrape.  Without this, a metric
   // born mid-incident (retry exhaustion, torn frames) costs the SLO
   // monitor two extra intervals of detection latency.
-  if (!prev.seen && scraped_once_) {
-    prev.value = 0.0;
-    prev.time = last_time_;
-    prev.seen = true;
+  if (!series.prev_seen && scraped_once_) {
+    series.prev_value = 0.0;
+    series.prev_time = last_time_;
+    series.prev_seen = true;
   }
-  if (prev.seen) {
-    const double dt = now - prev.time;
+  if (series.prev_seen) {
+    const double dt = now - series.prev_time;
     // Counters are monotone; a negative delta means the instrument was
     // re-registered under us — record a zero rate rather than a spike.
-    const double delta = std::max(0.0, raw - prev.value);
+    const double delta = std::max(0.0, raw - series.prev_value);
     if (dt > 0.0) {
       record_point(series, now, delta / dt, points);
     }
   }
-  prev.value = raw;
-  prev.time = now;
-  prev.seen = true;
+  series.prev_value = raw;
+  series.prev_time = now;
+  series.prev_seen = true;
+}
+
+void MetricsRecorder::refresh_quantiles(PlannedInstrument& instrument) {
+  // p50 and p99 interpolated in one pass over one bounded walk: an
+  // idle histogram costs one count() load, a busy one the occupied
+  // bucket range rather than all ~2k buckets.
+  const std::uint64_t count = instrument.histogram->count();
+  if (count == instrument.quantile_count) return;
+  instrument.quantile_count = count;
+  const std::uint64_t total =
+      instrument.histogram->walk_buckets(bucket_buffer_);
+  double p50 = 0.0;
+  double p99 = 0.0;
+  if (total > 0) {
+    const double n = static_cast<double>(total);
+    const double targets[2] = {0.5 * n, 0.99 * n};
+    double* slots[2] = {&p50, &p99};
+    std::size_t t = 0;
+    const Histogram::BucketCount* prev = nullptr;
+    double prev_cum = 0.0;
+    std::uint64_t cumulative = 0;
+    for (const Histogram::BucketCount& bucket : bucket_buffer_) {
+      cumulative += bucket.count;
+      const double cum = static_cast<double>(cumulative);
+      if (t < 2 && cum >= targets[t]) {
+        // Bounds only where a target lands, not per bucket walked.
+        const double upper = Histogram::bucket_upper_bound(bucket.index);
+        const double prev_upper =
+            prev != nullptr ? Histogram::bucket_upper_bound(prev->index)
+                            : 0.0;
+        for (; t < 2 && cum >= targets[t]; ++t) {
+          const double span = cum - prev_cum;
+          const double frac =
+              span > 0.0 ? (targets[t] - prev_cum) / span : 1.0;
+          // The +inf overflow bound reads +inf: frac * inf is NaN at 0.
+          *slots[t] = std::isinf(upper)
+                          ? upper
+                          : prev_upper + frac * (upper - prev_upper);
+        }
+        if (t == 2) break;
+      }
+      prev = &bucket;
+      prev_cum = cum;
+    }
+    // Ranks past the last bucket (rounding) land on the max bound.
+    for (; t < 2; ++t) {
+      *slots[t] = Histogram::bucket_upper_bound(bucket_buffer_.back().index);
+    }
+  }
+  instrument.p50_value = p50;
+  instrument.p99_value = p99;
 }
 
 std::size_t MetricsRecorder::scrape(double now) {
   const auto wall_start = std::chrono::steady_clock::now();
-  // families() snapshots under the registry lock; instrument reads are
-  // the same relaxed loads the exporters use — writers never stall.
-  const std::vector<Registry::Family> families = registry_.families();
-
   std::size_t points = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -157,46 +222,40 @@ std::size_t MetricsRecorder::scrape(double now) {
       skipped_total_.inc();
       return 0;
     }
-    for (const auto& family : families) {
-      double family_sum = 0.0;
-      bool labeled = false;
-      for (const auto& instrument : family.instruments) {
-        const std::string key = series_key(family.name, instrument.labels);
-        labeled = labeled || !instrument.labels.empty();
-        switch (family.kind) {
-          case Registry::Kind::kCounter: {
-            const double raw =
-                static_cast<double>(instrument.counter->value());
-            family_sum += raw;
-            record_point(key, now, raw, &points);
-            record_rate(key + kRateSuffix, now, raw, &points);
-            break;
-          }
-          case Registry::Kind::kGauge:
-            record_point(key, now, instrument.gauge->value(), &points);
-            break;
-          case Registry::Kind::kHistogram: {
-            const Histogram& h = *instrument.histogram;
-            const auto buckets = h.cumulative_buckets();
-            const QuantilePair q = quantiles_from_buckets(buckets);
-            record_rate(key + kRateSuffix, now,
-                        static_cast<double>(h.count()), &points);
-            record_point(key + kP50Suffix, now, q.p50, &points);
-            record_point(key + kP99Suffix, now, q.p99, &points);
-            break;
-          }
-        }
+    // Read the generation BEFORE families(): a registration racing the
+    // rebuild then leaves the plan one generation behind, so the next
+    // scrape rebuilds again instead of missing the new instrument.
+    const std::uint64_t generation = registry_.generation();
+    if (plan_generation_ != generation) rebuild_plan(generation);
+    // Instrument reads are the same relaxed loads the exporters use —
+    // writers never stall.
+    double family_sum = 0.0;
+    for (PlannedInstrument& step : plan_) {
+      if (step.counter != nullptr) {
+        const double raw = static_cast<double>(step.counter->value());
+        family_sum += raw;
+        record_point(*step.value, now, raw, &points);
+        record_rate(*step.rate, now, raw, &points);
+      } else if (step.gauge != nullptr) {
+        record_point(*step.value, now, step.gauge->value(), &points);
+      } else {
+        refresh_quantiles(step);
+        record_rate(*step.rate, now, static_cast<double>(step.quantile_count),
+                    &points);
+        record_point(*step.p50, now, step.p50_value, &points);
+        record_point(*step.p99, now, step.p99_value, &points);
       }
-      // Ratio rules (hit rate, shed ratio, join rate) want the family
-      // total, not one label cell — derive the label-summed rate too.
-      if (family.kind == Registry::Kind::kCounter && labeled) {
-        record_rate(family.name + kRateSuffix, now, family_sum, &points);
+      if (step.closes_family) {
+        if (step.family_rate != nullptr) {
+          record_rate(*step.family_rate, now, family_sum, &points);
+        }
+        family_sum = 0.0;
       }
     }
     last_time_ = now;
     scraped_once_ = true;
     ++local_scrapes_;
-    series_gauge_.set(static_cast<double>(rings_.size()));
+    series_gauge_.set(static_cast<double>(recorded_series_));
   }
 
   scrapes_total_.inc();
@@ -239,51 +298,56 @@ void MetricsRecorder::stop_wall_clock() {
 std::vector<std::string> MetricsRecorder::series_names() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> out;
-  out.reserve(rings_.size());
-  for (const auto& [name, ring] : rings_) out.push_back(name);
+  out.reserve(recorded_series_);
+  for (const auto& [name, series] : series_) {
+    if (series->recorded()) out.push_back(name);
+  }
   return out;
 }
 
 std::vector<TsSample> MetricsRecorder::samples(
     const std::string& series) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = rings_.find(series);
-  if (it == rings_.end()) return {};
-  const Ring& ring = it->second;
+  const Series* found = find_recorded(series);
+  if (found == nullptr) return {};
   std::vector<TsSample> out;
-  out.reserve(ring.size);
-  const std::size_t cap = ring.data.size();
-  const std::size_t start = (ring.head + cap - ring.size) % cap;
-  for (std::size_t i = 0; i < ring.size; ++i) {
-    out.push_back(ring.data[(start + i) % cap]);
-  }
+  out.reserve(found->size);
+  for (std::size_t i = 0; i < found->size; ++i) out.push_back(found->at(i));
   return out;
 }
 
 std::optional<TsSample> MetricsRecorder::latest(
     const std::string& series) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = rings_.find(series);
-  if (it == rings_.end() || it->second.size == 0) return std::nullopt;
-  const Ring& ring = it->second;
-  const std::size_t cap = ring.data.size();
-  return ring.data[(ring.head + cap - 1) % cap];
+  const Series* found = find_recorded(series);
+  if (found == nullptr) return std::nullopt;
+  return found->at(found->size - 1);
 }
 
 TsWindow MetricsRecorder::window(const std::string& series,
                                  double window_seconds, double now) const {
   TsWindow out;
   const double since = now - window_seconds;
-  for (const TsSample& sample : samples(series)) {
-    if (sample.time <= since || sample.time > now) continue;
+  std::lock_guard<std::mutex> lock(mu_);
+  const Series* found = find_recorded(series);
+  if (found == nullptr) return out;
+  // Scrape times never decrease, so the samples in (since, now] are
+  // one contiguous run: find it walking back from the newest, then
+  // aggregate oldest to newest, the order the SLO thresholds see.
+  std::size_t end = found->size;
+  while (end > 0 && found->at(end - 1).time > now) --end;
+  std::size_t begin = end;
+  while (begin > 0 && !(found->at(begin - 1).time <= since)) --begin;
+  for (std::size_t i = begin; i < end; ++i) {
+    const double value = found->at(i).value;
     if (out.samples == 0) {
-      out.min = out.max = sample.value;
+      out.min = out.max = value;
     } else {
-      out.min = std::min(out.min, sample.value);
-      out.max = std::max(out.max, sample.value);
+      out.min = std::min(out.min, value);
+      out.max = std::max(out.max, value);
     }
-    out.mean += sample.value;
-    out.last = sample.value;
+    out.mean += value;
+    out.last = value;
     ++out.samples;
   }
   if (out.samples > 0) out.mean /= static_cast<double>(out.samples);
@@ -334,7 +398,7 @@ std::uint64_t MetricsRecorder::dropped_series() const {
 
 std::size_t MetricsRecorder::series_count() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return rings_.size();
+  return recorded_series_;
 }
 
 double MetricsRecorder::last_scrape_time() const {

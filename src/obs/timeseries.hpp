@@ -18,8 +18,15 @@
 //   gauge      `name{labels}`        instantaneous value
 //   histogram  `name{labels}:rate`   samples/second
 //              `name{labels}:p50`    } quantiles interpolated from ONE
-//              `name{labels}:p99`    } cumulative-bucket snapshot per
-//                                      scrape (never three walks)
+//              `name{labels}:p99`    } bounded bucket walk, redone only
+//                                      when count() has moved
+//
+// Scrape plan: the derived series above are compiled once per
+// Registry::generation() into a flat plan of instrument and series
+// pointers, so a steady-state scrape copies no family list, assembles
+// no string and does no string-keyed lookup — it reads each instrument
+// and appends to its rings.  A registration bumps the generation and
+// the next scrape recompiles.
 //
 // Cadence contract (docs/OBSERVABILITY.md): under the simulator the
 // caller drives scrape(now) from a sim::PeriodicTask, so sample times
@@ -27,13 +34,14 @@
 // process (`wadp serve`) start_wall_clock() runs a background thread
 // stamping seconds-since-start.  scrape() never blocks metric writers:
 // instruments are read with the same relaxed loads the exporters use,
-// and only the recorder's own ring map takes a lock.  A scrape whose
+// and only the recorder's own rings take a lock.  A scrape whose
 // `now` does not advance past the previous one is skipped (counted),
 // which makes double-wiring a tick harmless.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -135,28 +143,57 @@ class MetricsRecorder {
   static std::string p99_series(const std::string& metric_key);
 
  private:
-  struct Ring {
-    explicit Ring(std::size_t capacity) : data(capacity) {}
-    std::vector<TsSample> data;  ///< fixed capacity, circular
+  /// Everything kept under one series name: its ring and, for a rate
+  /// series, the raw reading of the previous scrape.  The ring is
+  /// allocated on the series' first point, not when the plan names it:
+  /// ring creation order decides which series the max_series cap
+  /// refuses, and a rate series has no point before its second scrape.
+  /// A name without a ring is not recorded (series_names, counts).
+  struct Series {
+    std::vector<TsSample> ring;  ///< empty, then ring_capacity, circular
     std::size_t head = 0;        ///< next write slot
     std::size_t size = 0;
+    double prev_value = 0.0;
+    double prev_time = 0.0;
+    bool prev_seen = false;
 
+    bool recorded() const { return !ring.empty(); }
     void push(TsSample sample);
+    /// i-th retained sample, oldest first (i < size).
+    const TsSample& at(std::size_t i) const;
   };
 
-  /// Last raw cumulative value per counter/histogram-count series, for
-  /// rate derivation.
-  struct Cumulative {
-    double value = 0.0;
-    double time = 0.0;
-    bool seen = false;
+  /// Everything one scrape does for one instrument, prebuilt.  The
+  /// plan is one flat vector in families() order; the last instrument
+  /// of a family closes it, recording the label-summed rate of a
+  /// labeled counter family.
+  struct PlannedInstrument {
+    const Counter* counter = nullptr;
+    const Gauge* gauge = nullptr;
+    const Histogram* histogram = nullptr;
+    Series* value = nullptr;  ///< counter cumulative or gauge value
+    Series* rate = nullptr;   ///< counter or histogram-count rate
+    Series* p50 = nullptr;
+    Series* p99 = nullptr;
+    bool closes_family = false;
+    Series* family_rate = nullptr;
+    /// Histogram quantiles as of `quantile_count` samples; reused
+    /// while count() has not moved.
+    std::uint64_t quantile_count = 0;
+    double p50_value = 0.0;
+    double p99_value = 0.0;
   };
 
-  Ring* ring_for(const std::string& series);
-  void record_point(const std::string& series, double now, double value,
+  /// Recompiles plan_ from a fresh families() copy.  Caller holds mu_.
+  void rebuild_plan(std::uint64_t generation);
+  Series* series_for(std::string name);
+  /// The recorded series `name`, or nullptr.  Caller holds mu_.
+  const Series* find_recorded(const std::string& name) const;
+  void record_point(Series& series, double now, double value,
                     std::size_t* points);
-  void record_rate(const std::string& series, double now, double raw,
+  void record_rate(Series& series, double now, double raw,
                    std::size_t* points);
+  void refresh_quantiles(PlannedInstrument& instrument);
 
   RecorderConfig config_;
   Registry& registry_;
@@ -169,8 +206,17 @@ class MetricsRecorder {
   Histogram& scrape_seconds_;
 
   mutable std::mutex mu_;
-  std::map<std::string, Ring, std::less<>> rings_;
-  std::map<std::string, Cumulative, std::less<>> cumulative_;
+  /// Series records in creation order (a deque never moves them, so
+  /// the plan points into it and a scrape walks them near-sequentially),
+  /// indexed by name.
+  std::deque<Series> series_store_;
+  std::map<std::string, Series*, std::less<>> series_;
+  std::size_t recorded_series_ = 0;
+  /// The scrape plan, valid while the registry's generation equals
+  /// plan_generation_.
+  std::vector<PlannedInstrument> plan_;
+  std::optional<std::uint64_t> plan_generation_;
+  std::vector<Histogram::BucketCount> bucket_buffer_;
   double last_time_ = 0.0;
   bool scraped_once_ = false;
   std::uint64_t dropped_series_ = 0;

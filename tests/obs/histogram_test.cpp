@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace wadp::obs {
@@ -77,6 +78,71 @@ TEST(HistogramTest, QuantilesClampToObservedRange) {
   for (const double v : {5.0, 6.0, 7.0}) histogram.record(v);
   EXPECT_GE(histogram.quantile(0.0), 5.0);
   EXPECT_LE(histogram.quantile(1.0), 7.0);
+}
+
+TEST(HistogramTest, InfinityLandsInOverflowNanInUnderflow) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(Histogram::bucket_index(kInf), Histogram::kBucketCount - 1);
+  EXPECT_EQ(Histogram::bucket_index(-kInf), 0u);
+  EXPECT_EQ(Histogram::bucket_index(std::nan("")), 0u);
+  EXPECT_EQ(Histogram::bucket_index(0.0), 0u);
+  EXPECT_EQ(Histogram::bucket_index(-1.0), 0u);
+}
+
+TEST(HistogramTest, InfiniteSamplesReadInfiniteQuantiles) {
+  // 10 finite samples under 90 +inf ones: the median and the tail are
+  // +inf — never 0 (the underflow bound) and never NaN from inf * 0.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Histogram mixed;
+  for (int i = 0; i < 10; ++i) mixed.record(1.0);
+  for (int i = 0; i < 90; ++i) mixed.record(kInf);
+  EXPECT_EQ(mixed.quantile(0.5), kInf);
+  EXPECT_EQ(mixed.quantile(0.99), kInf);
+  EXPECT_EQ(mixed.quantile(1.0), kInf);
+  EXPECT_LE(mixed.quantile(0.0), 1.0625);  // the 1.0 bucket's bound
+
+  Histogram all_inf;
+  for (int i = 0; i < 3; ++i) all_inf.record(kInf);
+  for (const double q : {0.0, 0.5, 1.0}) {
+    EXPECT_EQ(all_inf.quantile(q), kInf) << "at q=" << q;
+  }
+}
+
+TEST(HistogramTest, BoundedWalkMatchesFullArrayWalk) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> cases = {
+      {},
+      {-3.0, -0.5},
+      {0.0, 0.0},
+      {std::nan(""), 2.0},
+      {std::nan("")},
+      {kInf, 4.0, -kInf},
+      {-kInf},
+      {1e-30, 1e-5, 3.0, 1e25},
+      {-1.0, 0.0, 0.75, 1.0, 1.5, 1024.0, std::nan(""), kInf},
+  };
+  std::vector<Histogram::BucketCount> walked;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    Histogram histogram;
+    // Reference: every sample's bucket counted into a full array,
+    // then read back over all kBucketCount slots.
+    std::vector<std::uint64_t> full(Histogram::kBucketCount, 0);
+    for (const double v : cases[c]) {
+      histogram.record(v);
+      ++full[Histogram::bucket_index(v)];
+    }
+    std::vector<Histogram::BucketCount> expected;
+    for (std::size_t i = 0; i < full.size(); ++i) {
+      if (full[i] != 0) expected.push_back({i, full[i]});
+    }
+    const std::uint64_t total = histogram.walk_buckets(walked);
+    EXPECT_EQ(total, cases[c].size()) << "case " << c;
+    ASSERT_EQ(walked.size(), expected.size()) << "case " << c;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(walked[i].index, expected[i].index) << "case " << c;
+      EXPECT_EQ(walked[i].count, expected[i].count) << "case " << c;
+    }
+  }
 }
 
 TEST(HistogramAccuracyTest, QuantilesWithinLogLinearBoundVsExactSort) {

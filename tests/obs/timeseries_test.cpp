@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -102,6 +105,86 @@ TEST(TimeseriesTest, HistogramYieldsQuantilesAndSampleRate) {
   EXPECT_NEAR(p50->value, 0.5, 0.1);
   EXPECT_GT(p99->value, p50->value);
   EXPECT_DOUBLE_EQ(rate->value, 10.0);
+}
+
+TEST(TimeseriesTest, InfiniteHistogramSamplesReadInfiniteQuantiles) {
+  Registry registry;
+  MetricsRecorder recorder(with(&registry));
+  Histogram& h = registry.histogram("wadp_stall_seconds");
+  for (int i = 0; i < 10; ++i) h.record(1.0);
+  for (int i = 0; i < 90; ++i) {
+    h.record(std::numeric_limits<double>::infinity());
+  }
+  recorder.scrape(1.0);
+
+  const auto p50 =
+      recorder.latest(MetricsRecorder::p50_series("wadp_stall_seconds"));
+  const auto p99 =
+      recorder.latest(MetricsRecorder::p99_series("wadp_stall_seconds"));
+  ASSERT_TRUE(p50.has_value());
+  ASSERT_TRUE(p99.has_value());
+  EXPECT_EQ(p50->value, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(p99->value, std::numeric_limits<double>::infinity());
+}
+
+TEST(TimeseriesTest, IdleHistogramReusesQuantilesUntilCountMoves) {
+  Registry registry;
+  MetricsRecorder recorder(with(&registry));
+  Histogram& h = registry.histogram("wadp_idle_seconds");
+  recorder.scrape(1.0);
+  h.record(2.0);
+  recorder.scrape(2.0);
+  recorder.scrape(3.0);  // count unchanged: same quantiles reused
+  h.record(8.0);
+  h.record(8.0);
+  recorder.scrape(4.0);
+
+  const auto p50 = recorder.samples(
+      MetricsRecorder::p50_series("wadp_idle_seconds"));
+  ASSERT_EQ(p50.size(), 4u);
+  EXPECT_DOUBLE_EQ(p50[0].value, 0.0);
+  EXPECT_GT(p50[1].value, 1.0);
+  EXPECT_DOUBLE_EQ(p50[2].value, p50[1].value);
+  EXPECT_GT(p50[3].value, p50[2].value);
+}
+
+TEST(TimeseriesTest, ScrapeRacesRegistration) {
+  // One thread keeps registering labeled counters and histograms (each
+  // registration bumps the registry generation) and recording into
+  // them while another scrapes.  Once both stop, one more scrape must
+  // see every instrument with its final value: a registration that
+  // raced a plan rebuild is picked up by the next scrape, never lost.
+  Registry registry;
+  MetricsRecorder recorder(with(&registry));
+  constexpr int kCells = 64;
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (int i = 0; i < kCells; ++i) {
+      const std::string cell = std::to_string(i);
+      registry.counter("wadp_race_total", {{"cell", cell}}).inc(i + 1);
+      registry.histogram("wadp_race_seconds", {{"cell", cell}})
+          .record(0.001 * (i + 1));
+      registry.counter("wadp_race_total", {{"cell", "0"}}).inc();
+    }
+    done.store(true, std::memory_order_release);
+  });
+  double now = 0.0;
+  while (!done.load(std::memory_order_acquire)) recorder.scrape(now += 1.0);
+  writer.join();
+  recorder.scrape(now + 1.0);
+
+  for (int i = 0; i < kCells; ++i) {
+    const std::string cell = std::to_string(i);
+    const auto value =
+        recorder.latest("wadp_race_total{cell=\"" + cell + "\"}");
+    ASSERT_TRUE(value.has_value()) << "cell " << i;
+    EXPECT_DOUBLE_EQ(value->value, i == 0 ? 1.0 + kCells : i + 1.0);
+    EXPECT_TRUE(recorder
+                    .latest(MetricsRecorder::p50_series(
+                        "wadp_race_seconds{cell=\"" + cell + "\"}"))
+                    .has_value())
+        << "cell " << i;
+  }
 }
 
 TEST(TimeseriesTest, NonAdvancingScrapeIsSkippedAndCounted) {

@@ -103,6 +103,27 @@ int usage(const char* error = nullptr) {
   return error != nullptr ? 2 : 0;
 }
 
+/// Integer flag `name`, or `fallback` when absent.  A value that is
+/// not an integer in [lo, hi] sets *error (first one wins) so the verb
+/// returns usage(), exit 2, before it builds any config: hostile flags
+/// must never reach a WADP_CHECK.
+std::int64_t int_flag(const util::ArgParser& args, const char* name,
+                      std::int64_t fallback, std::int64_t lo, std::int64_t hi,
+                      std::string* error) {
+  if (!args.get(name)) return fallback;
+  const auto value = args.get_int(name);
+  if (value && *value >= lo && *value <= hi) return *value;
+  if (error->empty()) {
+    *error = util::format("--%s must be an integer in [%lld, %lld]", name,
+                          static_cast<long long>(lo),
+                          static_cast<long long>(hi));
+  }
+  return fallback;
+}
+
+/// Campaign length bound shared by every verb that simulates one.
+constexpr std::int64_t kMaxDays = 3650;
+
 Expected<gridftp::TransferLog> load_log(const util::ArgParser& args) {
   if (args.positionals().size() < 2) {
     return Expected<gridftp::TransferLog>::failure("missing LOG argument");
@@ -129,9 +150,12 @@ int cmd_campaign(const util::ArgParser& args) {
   const auto campaign = args.get_or("campaign", "aug") == "dec"
                             ? workload::Campaign::kDecember2001
                             : workload::Campaign::kAugust2001;
+  std::string bad;
+  const auto days = int_flag(args, "days", 14, 1, kMaxDays, &bad);
+  if (!bad.empty()) return usage(bad.c_str());
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
   workload::CampaignConfig config;
-  config.days = static_cast<int>(args.get_int("days").value_or(14));
+  config.days = static_cast<int>(days);
   const std::string out_dir = args.get_or("out", "traces");
 
   std::error_code ec;
@@ -173,11 +197,20 @@ int cmd_campaign(const util::ArgParser& args) {
 /// Grid-scale fabric demo: seeded random topology, synthetic scenario,
 /// event core + incremental allocator in their lazy grid configuration.
 int cmd_simgrid(const util::ArgParser& args) {
+  std::string bad;
+  const auto sites = int_flag(args, "sites", 24, 2, 100'000, &bad);
+  const auto links = int_flag(args, "links", 60, 1, 10'000'000, &bad);
+  const auto duration = int_flag(args, "duration", 120, 1, 10'000'000, &bad);
+  const auto rate = int_flag(args, "rate", 0, 1, 1'000'000, &bad);
+  const auto flows = int_flag(args, "flows", 0, 1, 100'000'000, &bad);
+  if (bad.empty() && links + 1 < sites) {
+    bad = "--links must be at least --sites - 1 (the grid is connected)";
+  }
+  if (!bad.empty()) return usage(bad.c_str());
+
   workload::GridSpec spec;
-  spec.sites =
-      static_cast<std::size_t>(args.get_int("sites").value_or(24));
-  spec.links =
-      static_cast<std::size_t>(args.get_int("links").value_or(60));
+  spec.sites = static_cast<std::size_t>(sites);
+  spec.links = static_cast<std::size_t>(links);
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
 
@@ -188,13 +221,12 @@ int cmd_simgrid(const util::ArgParser& args) {
     return usage("unknown scenario (uniform|flash-crowd|diurnal)");
   }
   scenario.scenario = *parsed_scenario;
-  scenario.duration =
-      static_cast<Duration>(args.get_int("duration").value_or(120));
-  if (const auto rate = args.get_int("rate")) {
-    scenario.arrivals_per_second = static_cast<double>(*rate);
+  scenario.duration = static_cast<Duration>(duration);
+  if (args.get("rate")) {
+    scenario.arrivals_per_second = static_cast<double>(rate);
   }
-  if (const auto flows = args.get_int("flows")) {
-    scenario.max_concurrent = static_cast<std::size_t>(*flows);
+  if (args.get("flows")) {
+    scenario.max_concurrent = static_cast<std::size_t>(flows);
   }
 
   // Health plane riding along: scrape + evaluate on a sim-time cadence
@@ -422,13 +454,16 @@ int cmd_classes(const util::ArgParser& args) {
 
 int cmd_probe(const util::ArgParser& args) {
   // NWS sensors over every testbed path; dump the memory as trace text.
+  std::string bad;
+  const auto days = int_flag(args, "days", 1, 1, kMaxDays, &bad);
+  if (!bad.empty()) return usage(bad.c_str());
   const auto seed = static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
-  const int days = static_cast<int>(args.get_int("days").value_or(1));
   workload::Testbed testbed(workload::Campaign::kAugust2001, seed);
   core::FabricConfig config;
   config.deploy_nws = true;
   core::InformationFabric fabric(testbed, config);
-  testbed.sim().run_until(testbed.start_time() + days * 86400.0);
+  testbed.sim().run_until(testbed.start_time() +
+                          static_cast<double>(days) * 86400.0);
   fabric.absorb_probes();
 
   // Merge per-site memories for output.
@@ -469,6 +504,9 @@ int cmd_probe(const util::ArgParser& args) {
 /// ask every battery member one question per series so the predict path
 /// (ingest -> classify -> battery update -> query) fires too.
 int drive_instrumented(const util::ArgParser& args) {
+  std::string bad;
+  const auto days = int_flag(args, "days", 2, 1, kMaxDays, &bad);
+  if (!bad.empty()) return usage(bad.c_str());
   core::PredictionService service;
   if (args.positionals().size() > 1) {
     auto log = load_log(args);
@@ -484,7 +522,7 @@ int drive_instrumented(const util::ArgParser& args) {
     const auto seed =
         static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
     workload::CampaignConfig config;
-    config.days = static_cast<int>(args.get_int("days").value_or(2));
+    config.days = static_cast<int>(days);
     const auto result = workload::run_paper_campaign(campaign, seed, config);
     for (const char* site : {"lbl", "isi"}) {
       service.ingest_log(result.testbed->server(site).log());
@@ -584,6 +622,9 @@ int cmd_trace(const util::ArgParser& args) {
 int cmd_history(const util::ArgParser& args) {
   // Same drive as metrics/trace: ingest a LOG when given, otherwise a
   // short simulated campaign — then dump the store itself.
+  std::string bad;
+  const auto days = int_flag(args, "days", 2, 1, kMaxDays, &bad);
+  if (!bad.empty()) return usage(bad.c_str());
   core::PredictionService service;
   if (args.positionals().size() > 1) {
     auto log = load_log(args);
@@ -599,7 +640,7 @@ int cmd_history(const util::ArgParser& args) {
     const auto seed =
         static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
     workload::CampaignConfig config;
-    config.days = static_cast<int>(args.get_int("days").value_or(2));
+    config.days = static_cast<int>(days);
     const auto result = workload::run_paper_campaign(campaign, seed, config);
     for (const char* site : {"lbl", "isi"}) {
       service.ingest_log(result.testbed->server(site).log());
@@ -676,10 +717,13 @@ int cmd_durability(const util::ArgParser& args) {
   const auto campaign = args.get_or("campaign", "aug") == "dec"
                             ? workload::Campaign::kDecember2001
                             : workload::Campaign::kAugust2001;
+  std::string bad;
+  const auto days = int_flag(args, "days", 2, 1, kMaxDays, &bad);
+  if (!bad.empty()) return usage(bad.c_str());
   const auto seed =
       static_cast<std::uint64_t>(args.get_int("seed").value_or(42));
   workload::CampaignConfig campaign_config;
-  campaign_config.days = static_cast<int>(args.get_int("days").value_or(2));
+  campaign_config.days = static_cast<int>(days);
   const auto result =
       workload::run_paper_campaign(campaign, seed, campaign_config);
 
