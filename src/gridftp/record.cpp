@@ -7,6 +7,14 @@
 #include "util/time.hpp"
 
 namespace wadp::gridftp {
+namespace {
+
+/// Largest |TIME - (END - START)| an honest log line shows: to_ulm()
+/// writes all three with 3 decimals, so rounding contributes at most
+/// 1.5 ms.
+constexpr Duration kTimeFieldSlack = 0.002;
+
+}  // namespace
 
 const char* to_string(Operation op) {
   return op == Operation::kRead ? "read" : "write";
@@ -80,9 +88,18 @@ std::optional<TransferRecord> TransferRecord::from_ulm(
   if (!op) return std::nullopt;
   const auto result = ulm.get("RESULT");
   const bool ok_flag = !result.has_value() || !util::iequals(*result, "fail");
-  if (*size < 0 || (ok_flag && *size == 0) || *end <= *start ||
-      *streams < 1 || *buffer <= 0) {
+  if (*size < 0 || (ok_flag && *size == 0) || !std::isfinite(*start) ||
+      !std::isfinite(*end) || *end <= *start || *streams < 1 ||
+      *buffer <= 0) {
     return std::nullopt;
+  }
+  // TIME= is redundant with START/END; when present it must agree, which
+  // catches a rewritten START or END (the comparison also fails on NaN).
+  if (ulm.get("TIME")) {
+    const auto time = ulm.get_double("TIME");
+    if (!time || !(std::abs(*time - (*end - *start)) <= kTimeFieldSlack)) {
+      return std::nullopt;
+    }
   }
 
   r.host = std::string(*host);

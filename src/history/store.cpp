@@ -235,12 +235,19 @@ std::uint64_t HistoryStore::append_obs(const SeriesKey& key,
         break;
       }
       const auto frozen = series.data;
+      // The clone reads the frozen vector with the lock dropped, so it
+      // leases the epoch like any snapshot: a second writer arriving
+      // after the last snapshot left still sees a reader and clones
+      // too, instead of appending in place under this copy.
+      const auto lease = series.readers;
+      lease->fetch_add(1, std::memory_order_relaxed);
       staged_epoch = series.epoch;
       lock.unlock();
       staged = std::make_shared<std::vector<predict::Observation>>();
       staged->reserve(std::max(frozen->capacity(), frozen->size() + 1));
       staged->assign(frozen->begin(), frozen->end());
       lock.lock();
+      lease->fetch_sub(1, std::memory_order_release);
     }
     auto& data = *series.data;
     if (data.empty() || data.back().time <= obs.time) {

@@ -37,7 +37,7 @@ struct NetMetrics {
       "wadp_net_flows_completed_total", {}, "Flows completed on any engine");
   obs::Counter& reallocs = obs::Registry::global().counter(
       "wadp_net_reallocs_total", {},
-      "Applied max-min waterfill passes (incremental or global)");
+      "Applied max-min waterfill passes");
   obs::Counter& realloc_flows = obs::Registry::global().counter(
       "wadp_net_realloc_flows_total", {},
       "Flow entries recomputed across waterfill passes");
@@ -47,10 +47,6 @@ struct NetMetrics {
   obs::Counter& sweeps = obs::Registry::global().counter(
       "wadp_net_sweeps_total", {},
       "Lazy-mode dirty-set coalescing sweeps");
-  obs::Counter& verify_mismatches = obs::Registry::global().counter(
-      "wadp_net_verify_mismatches_total", {},
-      "Incremental-allocator rates diverging from the reference "
-      "recompute — the net.verify_mismatch SLO rule watches this");
   obs::Gauge& active = obs::Registry::global().gauge(
       "wadp_net_active_flows", {}, "Currently active flows");
   obs::Gauge& util_max = obs::Registry::global().gauge(
@@ -364,9 +360,9 @@ void FluidEngine::wake() {
 // ---------------------------------------------------------------------
 // Allocation: dirty-component collection and the max-min waterfill.
 
-void FluidEngine::collect_dirty_components(
-    std::vector<FlowId>& ids, std::vector<CapacityProvider*>& resources) {
+std::vector<FlowId> FluidEngine::collect_dirty_components() {
   ++visit_epoch_;
+  std::vector<FlowId> ids;
   std::unordered_set<FlowId> visited_flows;
   std::vector<CapacityProvider*> stack;
 
@@ -381,7 +377,6 @@ void FluidEngine::collect_dirty_components(
     while (!stack.empty()) {
       CapacityProvider* r = stack.back();
       stack.pop_back();
-      resources.push_back(r);
       for (const FlowId id : resources_.at(r).members) {
         if (!visited_flows.insert(id).second) continue;
         ids.push_back(id);
@@ -400,17 +395,16 @@ void FluidEngine::collect_dirty_components(
     }
   }
   dirty_resources_.clear();
-  // Ascending FlowId: matches the reference allocator's map iteration,
+  // Ascending FlowId: matches compare_with_reference()'s map iteration,
   // which keeps the waterfill arithmetic order-identical.
   std::sort(ids.begin(), ids.end());
+  return ids;
 }
 
-FluidEngine::WaterfillResult FluidEngine::waterfill(
-    const std::vector<FlowId>& ids, SimTime t, bool apply,
-    std::vector<double>* scratch) {
-  WaterfillResult result;
-  result.flows = ids.size();
-  if (ids.empty()) return result;
+void FluidEngine::waterfill(const std::vector<FlowId>& ids, SimTime t,
+                            std::vector<double>& rates) const {
+  rates.clear();
+  if (ids.empty()) return;
 
   // Resources indexed by first touch over flows in id order — the
   // iteration order the original global allocator used, preserved so
@@ -428,7 +422,6 @@ FluidEngine::WaterfillResult FluidEngine::waterfill(
     double weight;
   };
   struct Entry {
-    Flow* flow;
     double cap;  // TCP ramp/window ceiling
     std::vector<Member> members;
     bool fixed = false;
@@ -439,9 +432,8 @@ FluidEngine::WaterfillResult FluidEngine::waterfill(
   for (const FlowId id : ids) {
     const auto fit = flows_.find(id);
     WADP_CHECK(fit != flows_.end());
-    Flow& flow = fit->second;
+    const Flow& flow = fit->second;
     Entry e;
-    e.flow = &flow;
     e.cap = flow_cap(flow, t);
     for_each_resource(flow, [&](CapacityProvider* r, double weight) {
       e.members.push_back({index_of(r), weight});
@@ -493,67 +485,42 @@ FluidEngine::WaterfillResult FluidEngine::waterfill(
     WADP_CHECK_MSG(fixed_any, "max-min allocation failed to converge");
   }
 
-  if (apply) {
-    for (Entry& e : entries) {
-      e.flow->rate = e.rate;
-      e.flow->cached_cap = e.cap;
-    }
-  } else {
-    WADP_CHECK(scratch != nullptr);
-    scratch->resize(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      (*scratch)[i] = entries[i].rate;
+  rates.reserve(entries.size());
+  for (const Entry& e : entries) rates.push_back(e.rate);
+}
+
+void FluidEngine::apply_waterfill(const std::vector<FlowId>& ids,
+                                  SimTime t) {
+  if (ids.empty()) return;
+  std::vector<double> rates;
+  const std::uint64_t begin = now_ns();
+  waterfill(ids, t, rates);
+  const std::uint64_t ns = now_ns() - begin;
+
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    Flow& f = flows_.at(ids[i]);
+    const bool moved = f.rate != rates[i];
+    f.rate = rates[i];
+    f.cached_cap = flow_cap(f, t);
+    // A changed rate moves the completion instant; an unchanged rate
+    // leaves the armed event valid (same remaining trajectory).
+    if (config_.lazy_progress && (moved || f.completion_ev == 0)) {
+      arm_completion(ids[i], f);
     }
   }
-  return result;
+
+  ++stats_.reallocs;
+  stats_.flows_touched += ids.size();
+  stats_.alloc_ns += ns;
+  NetMetrics::get().reallocs.inc();
+  NetMetrics::get().realloc_flows.inc(ids.size());
+  NetMetrics::get().realloc_ns.inc(ns);
+  report_allocations(ids, t);
 }
 
 void FluidEngine::realloc_dirty(SimTime t) {
   if (dirty_resources_.empty()) return;
-  if (flows_.empty()) {
-    for (CapacityProvider* r : dirty_resources_) {
-      const auto it = resources_.find(r);
-      if (it != resources_.end()) it->second.dirty = false;
-    }
-    dirty_resources_.clear();
-    return;
-  }
-
-  std::vector<FlowId> ids;
-  std::vector<CapacityProvider*> touched;
-  if (config_.allocator == AllocatorKind::kReference) {
-    for (CapacityProvider* r : dirty_resources_) {
-      const auto it = resources_.find(r);
-      if (it != resources_.end()) it->second.dirty = false;
-    }
-    dirty_resources_.clear();
-    ids.reserve(flows_.size());
-    for (const auto& [id, f] : flows_) ids.push_back(id);
-    ++stats_.components;
-  } else {
-    collect_dirty_components(ids, touched);
-  }
-  if (ids.empty()) return;
-
-  const std::uint64_t begin = now_ns();
-  const WaterfillResult result = waterfill(ids, t, /*apply=*/true, nullptr);
-  const std::uint64_t ns = now_ns() - begin;
-  ++stats_.reallocs;
-  stats_.flows_touched += result.flows;
-  stats_.alloc_ns += ns;
-  NetMetrics::get().reallocs.inc();
-  NetMetrics::get().realloc_flows.inc(result.flows);
-  NetMetrics::get().realloc_ns.inc(ns);
-
-  if (config_.reference_sample_every > 0 &&
-      stats_.reallocs % config_.reference_sample_every == 0) {
-    reference_shadow(t, /*verify=*/false);
-  }
-  if (config_.verify_allocator &&
-      config_.allocator == AllocatorKind::kIncremental) {
-    reference_shadow(t, /*verify=*/true);
-  }
-  report_allocations(ids, t);
+  apply_waterfill(collect_dirty_components(), t);
 }
 
 void FluidEngine::report_allocations(const std::vector<FlowId>& ids,
@@ -584,45 +551,16 @@ void FluidEngine::report_allocations(const std::vector<FlowId>& ids,
   }
 }
 
-void FluidEngine::reference_shadow(SimTime t, bool verify) {
-  if (flows_.empty()) return;
+std::size_t FluidEngine::compare_with_reference() const {
   std::vector<FlowId> ids;
   ids.reserve(flows_.size());
   for (const auto& [id, f] : flows_) ids.push_back(id);
-
-  std::vector<double> scratch;
-  const std::uint64_t begin = now_ns();
-  waterfill(ids, t, /*apply=*/false, &scratch);
-  stats_.reference_ns += now_ns() - begin;
-  ++stats_.reference_samples;
-  stats_.reference_flows += ids.size();
-
-  if (!verify) return;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const Flow& f = flows_.at(ids[i]);
-    if (f.rate != scratch[i]) {
-      ++stats_.verify_mismatches;
-      NetMetrics::get().verify_mismatches.inc();
-      if (first_mismatch_.empty()) {
-        first_mismatch_ = "flow " + std::to_string(ids[i]) + " at t=" +
-                          std::to_string(t) + ": incremental=" +
-                          std::to_string(f.rate) +
-                          " reference=" + std::to_string(scratch[i]);
-      }
-    }
-  }
-}
-
-std::size_t FluidEngine::compare_with_reference() {
-  if (flows_.empty()) return 0;
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) ids.push_back(id);
-  std::vector<double> scratch;
-  waterfill(ids, sim_.now(), /*apply=*/false, &scratch);
+  std::vector<double> rates;
+  waterfill(ids, sim_.now(), rates);
   std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    if (flows_.at(ids[i]).rate != scratch[i]) ++mismatches;
+  std::size_t i = 0;
+  for (const auto& [id, f] : flows_) {
+    if (f.rate != rates[i++]) ++mismatches;
   }
   return mismatches;
 }
@@ -739,20 +677,7 @@ void FluidEngine::sweep() {
   NetMetrics::get().sweeps.inc();
   if (dirty_resources_.empty()) return;
 
-  std::vector<FlowId> ids;
-  std::vector<CapacityProvider*> touched;
-  if (config_.allocator == AllocatorKind::kReference) {
-    for (CapacityProvider* r : dirty_resources_) {
-      const auto it = resources_.find(r);
-      if (it != resources_.end()) it->second.dirty = false;
-    }
-    dirty_resources_.clear();
-    ids.reserve(flows_.size());
-    for (const auto& [id, f] : flows_) ids.push_back(id);
-    ++stats_.components;
-  } else {
-    collect_dirty_components(ids, touched);
-  }
+  const std::vector<FlowId> ids = collect_dirty_components();
   if (ids.empty()) return;
 
   // Bring the affected flows' byte counts to t; anything that drains in
@@ -773,41 +698,7 @@ void FluidEngine::sweep() {
     }
   }
 
-  if (!live.empty()) {
-    std::vector<double> previous(live.size());
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      previous[i] = flows_.at(live[i]).rate;
-    }
-
-    const std::uint64_t begin = now_ns();
-    const WaterfillResult result = waterfill(live, t, /*apply=*/true, nullptr);
-    const std::uint64_t ns = now_ns() - begin;
-    ++stats_.reallocs;
-    stats_.flows_touched += result.flows;
-    stats_.alloc_ns += ns;
-    NetMetrics::get().reallocs.inc();
-    NetMetrics::get().realloc_flows.inc(result.flows);
-    NetMetrics::get().realloc_ns.inc(ns);
-
-    for (std::size_t i = 0; i < live.size(); ++i) {
-      Flow& f = flows_.at(live[i]);
-      // A changed rate moves the completion instant; an unchanged rate
-      // leaves the armed event valid (same remaining trajectory).
-      if (f.rate != previous[i] || f.completion_ev == 0) {
-        arm_completion(live[i], f);
-      }
-    }
-
-    if (config_.reference_sample_every > 0 &&
-        stats_.reallocs % config_.reference_sample_every == 0) {
-      reference_shadow(t, /*verify=*/false);
-    }
-    if (config_.verify_allocator &&
-        config_.allocator == AllocatorKind::kIncremental) {
-      reference_shadow(t, /*verify=*/true);
-    }
-    report_allocations(live, t);
-  }
+  apply_waterfill(live, t);
 
   for (const FlowId id : drained) {
     if (flows_.contains(id)) finish_flow(id, t);

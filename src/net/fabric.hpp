@@ -22,10 +22,12 @@
 // rate outside it.  The engine exploits that to make reallocation
 // *incremental*: every change (arrival, completion, ramp step, load
 // step) marks the resources it touches dirty, and only the connected
-// components reached from dirty resources are waterfilled again.  A
-// reference global-recompute allocator is retained both as a
-// correctness oracle (EngineConfig::verify_allocator) and as the
-// baseline the bench compares against.
+// components reached from dirty resources are waterfilled again.  That
+// is the engine's one allocation path.  compare_with_reference() is the
+// oracle hook: it waterfills every active flow globally into scratch
+// and counts rates that differ from the live ones — the equivalence
+// tests call it at every settled instant, and bench_netsim times it as
+// the global-recompute baseline.
 //
 // Two progress-bookkeeping modes:
 //   * eager (default) — every advance integrates every flow, and one
@@ -43,7 +45,6 @@
 #include <functional>
 #include <map>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -87,22 +88,9 @@ struct FlowSpec {
   std::function<void(const FlowStats&)> on_complete;  ///< may be empty
 };
 
-/// Which allocator recomputes rates on a change.
-enum class AllocatorKind {
-  kIncremental,  ///< dirty-component waterfill (default)
-  kReference,    ///< global recompute on every change (oracle/baseline)
-};
-
 struct EngineConfig {
-  AllocatorKind allocator = AllocatorKind::kIncremental;
   /// Per-flow/per-resource events instead of the eager single wake.
   bool lazy_progress = false;
-  /// Shadow every incremental reallocation with a reference global
-  /// recompute and count rate mismatches (tests).
-  bool verify_allocator = false;
-  /// When > 0, every Nth reallocation also times (but does not apply) a
-  /// reference global recompute — the in-bench cost baseline.
-  std::uint32_t reference_sample_every = 0;
 };
 
 class FluidEngine {
@@ -153,20 +141,15 @@ class FluidEngine {
     std::uint64_t flows_touched = 0;  ///< flow entries across passes
     std::uint64_t sweeps = 0;         ///< lazy-mode coalescing sweeps
     std::uint64_t alloc_ns = 0;       ///< wall time in applied waterfills
-    std::uint64_t reference_ns = 0;       ///< wall time in scratch recomputes
-    std::uint64_t reference_samples = 0;  ///< scratch recomputes taken
-    std::uint64_t reference_flows = 0;    ///< flow entries across scratch
-    std::uint64_t verify_mismatches = 0;  ///< incremental != reference rates
   };
   const AllocStats& alloc_stats() const { return stats_; }
 
-  /// Description of the first verify-mode mismatch, empty when clean.
-  const std::string& first_mismatch() const { return first_mismatch_; }
-
-  /// Recomputes all rates globally (reference allocator) into a scratch
-  /// buffer and compares with the live rates; returns the number of
-  /// flows whose rate differs.  Test hook — does not modify state.
-  std::size_t compare_with_reference();
+  /// Waterfills every active flow globally into a scratch buffer and
+  /// returns how many live rates differ from it.  The oracle hook for
+  /// tests and bench_netsim.  Between
+  /// same-instant events (before the pending reallocation has run) the
+  /// live rates may legitimately lag.
+  std::size_t compare_with_reference() const;
 
  private:
   struct Flow {
@@ -209,26 +192,24 @@ class FluidEngine {
   void unlink_flow(FlowId id, Flow& f);
   void mark_resources_dirty(const Flow& f);
 
-  /// Weighted max-min over `entries` (ascending FlowId order expected).
-  /// Writes rates into the flows when `apply`, into `scratch` otherwise.
-  struct WaterfillResult {
-    std::size_t flows = 0;
-  };
-  WaterfillResult waterfill(const std::vector<FlowId>& ids, SimTime t,
-                            bool apply, std::vector<double>* scratch);
+  /// Weighted max-min over `ids` (ascending FlowId order expected):
+  /// `rates[i]` is the rate of flow `ids[i]` at `t`.
+  void waterfill(const std::vector<FlowId>& ids, SimTime t,
+                 std::vector<double>& rates) const;
+  /// Waterfills `ids` and stores the rates (lazy mode: re-arms the
+  /// completion of every flow whose rate moved), then accounts the pass
+  /// in AllocStats and NetMetrics and reports it to the resources.
+  /// No-op for an empty set.
+  void apply_waterfill(const std::vector<FlowId>& ids, SimTime t);
 
-  /// Recomputes the connected components reached from dirty resources;
-  /// the incremental allocator's core.  No-op when nothing is dirty.
+  /// Recomputes the connected components reached from dirty resources
+  /// (eager mode).  No-op when nothing is dirty.
   void realloc_dirty(SimTime t);
-  /// Expands dirty resources to full components; returns member flow
-  /// ids ascending and the component's resources.
-  void collect_dirty_components(std::vector<FlowId>& ids,
-                                std::vector<CapacityProvider*>& resources);
+  /// Expands dirty resources to full components and clears the dirty
+  /// set; returns member flow ids ascending.
+  std::vector<FlowId> collect_dirty_components();
   /// Reports allocation sums to the touched resources' on_allocation.
   void report_allocations(const std::vector<FlowId>& ids, SimTime t);
-  /// Runs the reference global recompute into scratch (timing it) and,
-  /// in verify mode, compares with live rates.
-  void reference_shadow(SimTime t, bool verify);
 
   // -- eager mode ----------------------------------------------------
   /// Moves bytes for the elapsed interval and completes finished flows.
@@ -267,7 +248,6 @@ class FluidEngine {
   std::uint64_t visit_epoch_ = 0;
   std::uint64_t completed_ = 0;
   AllocStats stats_;
-  std::string first_mismatch_;
 };
 
 }  // namespace wadp::net

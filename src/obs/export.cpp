@@ -64,17 +64,12 @@ std::string prometheus_labels_with(const Labels& labels,
   return prometheus_labels(extended);
 }
 
-/// Shortest float form that round-trips typical metric values.
+/// Prometheus sample value: shortest float form that round-trips
+/// typical metric values.  (JSON output uses util::json_number.)
 std::string number(double v) {
   if (v == std::numeric_limits<double>::infinity()) return "+Inf";
   std::string s = util::format("%.9g", v);
   return s;
-}
-
-std::string json_escape(const std::string& s) {
-  // The one shared escaper (util::json_escape) — kept as a forwarding
-  // alias so this file's emitters stay terse.
-  return util::json_escape(s);
 }
 
 /// JSON key for one instrument: name plus serialized labels.
@@ -218,7 +213,7 @@ std::string to_json(const Registry& registry) {
   for (const auto& family : registry.families()) {
     for (const auto& instrument : family.instruments) {
       const std::string key =
-          "\"" + json_escape(json_key(family.name, instrument.labels)) +
+          "\"" + util::json_escape(json_key(family.name, instrument.labels)) +
           "\": ";
       switch (family.kind) {
         case Registry::Kind::kCounter:
@@ -227,7 +222,7 @@ std::string to_json(const Registry& registry) {
           break;
         case Registry::Kind::kGauge:
           if (!gauges.empty()) gauges += ", ";
-          gauges += key + number(instrument.gauge->value());
+          gauges += key + util::json_number(instrument.gauge->value());
           break;
         case Registry::Kind::kHistogram: {
           const Histogram& h = *instrument.histogram;
@@ -237,12 +232,13 @@ std::string to_json(const Registry& registry) {
               util::format("{\"count\": %zu, \"sum\": %s, \"min\": %s, "
                            "\"max\": %s, \"mean\": %s, \"p50\": %s, "
                            "\"p90\": %s, \"p99\": %s}",
-                           h.count(), number(h.sum()).c_str(),
-                           number(h.min()).c_str(), number(h.max()).c_str(),
-                           number(h.mean()).c_str(),
-                           number(h.quantile(0.5)).c_str(),
-                           number(h.quantile(0.9)).c_str(),
-                           number(h.quantile(0.99)).c_str());
+                           h.count(), util::json_number(h.sum()).c_str(),
+                           util::json_number(h.min()).c_str(),
+                           util::json_number(h.max()).c_str(),
+                           util::json_number(h.mean()).c_str(),
+                           util::json_number(h.quantile(0.5)).c_str(),
+                           util::json_number(h.quantile(0.9)).c_str(),
+                           util::json_number(h.quantile(0.99)).c_str());
           break;
         }
       }
@@ -259,7 +255,7 @@ Expected<bool> write_bench_json(const std::string& path,
   if (file == nullptr) {
     return Expected<bool>::failure("cannot open " + path + " for writing");
   }
-  const std::string body = "{\"bench\": \"" + json_escape(bench_name) +
+  const std::string body = "{\"bench\": \"" + util::json_escape(bench_name) +
                            "\", \"metrics\": " + to_json(registry) + "}\n";
   const std::size_t written = std::fwrite(body.data(), 1, body.size(), file);
   std::fclose(file);

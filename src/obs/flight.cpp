@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <vector>
 
 #include "util/strings.hpp"
@@ -12,13 +11,6 @@ namespace wadp::obs {
 namespace {
 
 namespace fs = std::filesystem;
-
-std::string number(double v) {
-  if (v == std::numeric_limits<double>::infinity()) return "1e999";
-  if (v == -std::numeric_limits<double>::infinity()) return "-1e999";
-  if (v != v) return "0";  // NaN has no JSON spelling; clamp
-  return util::format("%.9g", v);
-}
 
 /// Reason string reduced to a filename-safe slug.
 std::string slug(const std::string& reason) {
@@ -90,7 +82,7 @@ Expected<BundleInfo> FlightRecorder::capture(const std::string& reason,
   std::string json;
   std::string ulm;
   json += "{\"reason\": \"" + util::json_escape(reason) + "\"";
-  json += ", \"time\": " + number(now);
+  json += ", \"time\": " + util::json_number(now);
   json += ", \"seq\": " + std::to_string(info.seq);
 
   {
@@ -123,8 +115,8 @@ Expected<BundleInfo> FlightRecorder::capture(const std::string& reason,
       json += "\"" + util::json_escape(name) + "\": [";
       for (std::size_t i = 0; i < samples.size(); ++i) {
         if (i > 0) json += ", ";
-        json += "[" + number(samples[i].time) + ", " +
-                number(samples[i].value) + "]";
+        json += "[" + util::json_number(samples[i].time) + ", " +
+                util::json_number(samples[i].value) + "]";
         util::UlmRecord point;
         point.set("EVNT", "flight.sample");
         point.set("PROG", "wadp.flight");
@@ -216,7 +208,7 @@ Expected<BundleInfo> FlightRecorder::capture(const std::string& reason,
           util::json_escape(cell.site).c_str(),
           util::json_escape(cell.predictor).c_str(),
           util::json_escape(cell.class_label).c_str(), cell.count,
-          number(cell.mean_error_pct).c_str(),
+          util::json_number(cell.mean_error_pct).c_str(),
           cell.drifting ? "true" : "false");
       util::UlmRecord line;
       line.set("EVNT", "flight.quality");

@@ -263,17 +263,6 @@ std::vector<SloRule> HealthMonitor::builtin_rules(
     r.fast_burn = 1.5;
     rules.push_back(std::move(r));
   }
-  {
-    SloRule r;
-    r.name = "net.verify_mismatch";
-    r.description = "Incremental allocator never diverges from reference";
-    r.series = rate("wadp_net_verify_mismatches_total");
-    r.direction = SloDirection::kAbove;
-    r.threshold = 0.0;
-    r.fast_window = fast;
-    r.slow_window = slow;
-    rules.push_back(std::move(r));
-  }
   return rules;
 }
 

@@ -101,9 +101,8 @@ class HealthMonitor {
   /// The built-in rule catalog covering the subsystems the framework
   /// already ships (docs/OBSERVABILITY.md lists each): serving
   /// hit-rate and shed-ratio, WAL fsync p99 and torn frames, retry
-  /// exhaustion, quality drift and join rate, net-fabric verify
-  /// mismatches.  Windows scale from the scrape interval: fast = 2
-  /// intervals, slow = 10.
+  /// exhaustion, quality drift and join rate.  Windows scale from the
+  /// scrape interval: fast = 2 intervals, slow = 10.
   static std::vector<SloRule> builtin_rules(double scrape_interval_seconds);
 
  private:

@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 
 namespace wadp::util {
 
@@ -126,6 +127,13 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  if (v == std::numeric_limits<double>::infinity()) return "1e999";
+  if (v == -std::numeric_limits<double>::infinity()) return "-1e999";
+  if (v != v) return "0";
+  return format("%.9g", v);
 }
 
 std::string format_bytes(std::uint64_t bytes) {

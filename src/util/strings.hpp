@@ -45,6 +45,11 @@ std::string format(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 /// containing `"` or `\` otherwise produces invalid JSON.
 std::string json_escape(std::string_view s);
 
+/// A double as a JSON number token ("%.9g").  JSON has no spelling for
+/// infinities or NaN, so +/-inf become 1e999 / -1e999 (which parse back
+/// to +/-inf in common JSON readers) and NaN becomes 0.
+std::string json_number(double v);
+
 /// Human-readable byte count using the paper's decimal units
 /// ("10 MB", "1 GB", "512 KB").
 std::string format_bytes(std::uint64_t bytes);

@@ -237,7 +237,6 @@ void arm_arrival(GridWorld& world, const std::shared_ptr<ScenarioState>& st) {
 
 net::EngineConfig GridWorld::default_engine_config() {
   net::EngineConfig config;
-  config.allocator = net::AllocatorKind::kIncremental;
   config.lazy_progress = true;
   return config;
 }

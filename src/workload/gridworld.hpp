@@ -139,7 +139,7 @@ struct ScenarioConfig {
 /// (per-event cost proportional to the touched component).
 class GridWorld {
  public:
-  /// Lazy progress + incremental allocator — the grid-scale mode.
+  /// Lazy progress — the grid-scale mode.
   static net::EngineConfig default_engine_config();
 
   GridWorld(const GridSpec& spec, std::uint64_t seed,

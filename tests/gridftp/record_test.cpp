@@ -120,6 +120,62 @@ TEST(TransferRecordTest, FromUlmRejectsInvertedTimes) {
   EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
 }
 
+/// `ulm` without its TIME= field, so START/END checks stand alone.
+util::UlmRecord without_time(const util::UlmRecord& ulm) {
+  util::UlmRecord out;
+  for (const auto& [k, v] : ulm.fields()) {
+    if (k != "TIME") out.set(k, v);
+  }
+  return out;
+}
+
+TEST(TransferRecordTest, FromUlmRejectsNonFiniteTimes) {
+  for (const char* key : {"START", "END"}) {
+    for (const char* value : {"nan", "-inf", "inf"}) {
+      auto ulm = sample_record().to_ulm();
+      ulm.set(key, value);
+      EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value())
+          << key << "=" << value;
+      EXPECT_FALSE(TransferRecord::from_ulm(without_time(ulm)).has_value())
+          << key << "=" << value << " without TIME";
+    }
+  }
+}
+
+TEST(TransferRecordTest, FromUlmRejectsTimeDisagreeingWithStartAndEnd) {
+  {
+    // A START rewritten far into the past: finite and before END, so
+    // only the TIME= cross-check catches it.
+    auto ulm = sample_record().to_ulm();
+    ulm.set("START", "-1e308");
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    EXPECT_TRUE(TransferRecord::from_ulm(without_time(ulm)).has_value());
+  }
+  {
+    auto ulm = sample_record().to_ulm();  // END - START = 4 s
+    ulm.set_double("TIME", 4.003, 3);
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    ulm.set("TIME", "nan");
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    ulm.set("TIME", "soon");  // present but unparseable
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    ulm.set_double("TIME", 4.001, 3);  // within rounding slack
+    EXPECT_TRUE(TransferRecord::from_ulm(ulm).has_value());
+  }
+}
+
+TEST(TransferRecordTest, FromUlmAcceptsEveryRoundedRecord) {
+  // to_ulm() rounds START, END and TIME to milliseconds independently;
+  // the TIME= cross-check must never reject what it wrote.
+  TransferRecord r = sample_record();
+  for (int i = 0; i < 2000; ++i) {
+    r.start_time = 998'988'165.0 + i * 0.0001237;
+    r.end_time = r.start_time + 0.0015 + i * 0.0003851;
+    const auto parsed = TransferRecord::from_ulm(r.to_ulm());
+    ASSERT_TRUE(parsed.has_value()) << "record " << i;
+  }
+}
+
 TEST(TransferRecordTest, FromUlmRejectsZeroSize) {
   auto ulm = sample_record().to_ulm();
   ulm.set_int("SIZE", 0);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -128,6 +129,60 @@ TEST(HistoryStoreThreadStressTest, RetentionUnderConcurrentIngest) {
   EXPECT_GT(snap.size(), kCap - kCap / 4);
   EXPECT_EQ(snap.size() + snap.evicted(),
             static_cast<std::uint64_t>(kWriters) * kAppendsPerWriter);
+}
+
+TEST(HistoryStoreThreadStressTest, LastSnapshotLeavingMidCloneKeepsItFrozen) {
+  // A snapshot pins the series, so both writers' first appends clone it
+  // with the shard lock dropped; the snapshot then leaves while a clone
+  // is still reading.  Neither writer may now append in place to the
+  // vector the other is copying (TSan reports it as a race).  A large
+  // series keeps each clone in flight for milliseconds, and each round
+  // drops the snapshot after a different delay to land inside one.
+  constexpr int kPrefill = 200'000;
+  constexpr int kAppendsPerWriter = 50;
+  const int delays_us[] = {0, 100, 300, 1000, 3000};
+
+  HistoryStore store(StoreConfig{.shard_count = 1, .instrumented = false});
+  const SeriesKey key = key_for(0);
+  std::atomic<int> next_time{0};
+  const auto append_next = [&store, &key, &next_time] {
+    const int t = next_time.fetch_add(1, std::memory_order_relaxed);
+    store.append(key, Observation{.time = static_cast<double>(t),
+                                  .value = 1e6 + t,
+                                  .file_size = kMB});
+  };
+  for (int i = 0; i < kPrefill; ++i) append_next();
+
+  for (const int delay_us : delays_us) {
+    auto snap = store.snapshot(key);
+    ASSERT_TRUE(snap);
+    std::atomic<int> started{0};
+    const auto writer = [&append_next, &started] {
+      started.fetch_add(1, std::memory_order_release);
+      for (int i = 0; i < kAppendsPerWriter; ++i) append_next();
+    };
+    std::thread a(writer);
+    std::thread b(writer);
+    while (started.load(std::memory_order_acquire) < 2) {
+      std::this_thread::yield();
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+    const std::size_t frozen_size = snap.size();
+    EXPECT_TRUE(time_sorted(snap.observations()));
+    snap = SeriesSnapshot{};  // the last reader leaves
+    a.join();
+    b.join();
+    EXPECT_GE(store.snapshot(key).size(), frozen_size);
+  }
+
+  // Every append landed exactly once, at its own time and value.
+  const auto final_snap = store.snapshot(key);
+  const auto& series = final_snap.observations();
+  ASSERT_EQ(series.size(), static_cast<std::size_t>(next_time.load()));
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    ASSERT_EQ(series[i].time, static_cast<double>(i));
+    ASSERT_EQ(series[i].value, 1e6 + static_cast<double>(i));
+  }
 }
 
 TEST(ServiceThreadStressTest, PredictWhileIngesting) {

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "obs/events.hpp"
@@ -118,6 +119,36 @@ TEST(ExportTest, JsonGolden) {
             "\"histograms\": {\"demo_latency_seconds\": {\"count\": 4, "
             "\"sum\": 8, \"min\": 2, \"max\": 2, \"mean\": 2, \"p50\": 2, "
             "\"p90\": 2, \"p99\": 2}}}");
+}
+
+TEST(ExportTest, JsonSpellsNonFiniteValuesAsNumbers) {
+  Registry registry;
+  registry.gauge("demo_ceiling", {}, "").set(
+      std::numeric_limits<double>::infinity());
+  registry.gauge("demo_undefined", {}, "").set(
+      std::numeric_limits<double>::quiet_NaN());
+  registry.histogram("demo_stall_seconds", {}, "")
+      .record(std::numeric_limits<double>::infinity());
+  const std::string json = to_json(registry);
+
+  // Outside string literals (metric names), no token JSON cannot parse.
+  std::string values;
+  bool in_string = false;
+  for (std::size_t i = 0; i < json.size(); ++i) {
+    if (in_string && json[i] == '\\') {
+      ++i;
+    } else if (json[i] == '"') {
+      in_string = !in_string;
+    } else if (!in_string) {
+      values += json[i];
+    }
+  }
+  for (const char* token : {"Inf", "inf", "nan", "NaN"}) {
+    EXPECT_EQ(values.find(token), std::string::npos) << token << " in " << json;
+  }
+  EXPECT_NE(json.find("\"demo_ceiling\": 1e999"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"demo_undefined\": 0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"p99\": 1e999"), std::string::npos) << json;
 }
 
 TEST(ExportTest, SpansUlmGolden) {
