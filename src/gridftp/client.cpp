@@ -1,8 +1,8 @@
 #include "gridftp/client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,26 +17,45 @@
 
 namespace wadp::gridftp {
 
-/// Everything needed to run one data movement once control channels are
-/// up.  Reads are logged at the reading server, writes at the writing
-/// server; a third-party transfer populates both.
-struct GridFtpClient::DataPlan {
-  GridFtpServer* read_logger = nullptr;   ///< server performing the read
-  GridFtpServer* write_logger = nullptr;  ///< server performing the write
+namespace {
+
+// Protocol timing: round trips on the control path and GSI CPU cost.
+constexpr int kControlSetupRtts = 3;  // TCP + GSI handshake round trips
+constexpr Duration kAuthCpu = 0.4;    // GSI public-key operations (seconds)
+constexpr int kDataSetupRtts = 2;     // PASV/PORT exchange + channel connect
+
+/// The data phase a control script granted: one file moved from
+/// `read_path` to `write_path` in one leg (one flow) per data mover.
+/// A leg's reading server logs a read and its writing server a write; a
+/// null end is this client, whose disk (if any) the flow crosses
+/// instead.  Every operation is one leg except a striped get, which
+/// has one per stripe, all at one site.
+struct DataPlan {
+  struct Leg {
+    GridFtpServer* reader = nullptr;
+    GridFtpServer* writer = nullptr;
+    Bytes bytes = 0;
+    net::FlowId flow = 0;      ///< live flow, 0 when none
+    SimTime flow_start = 0.0;  ///< flow window, for the stream span
+    SimTime flow_end = 0.0;
+  };
   std::string read_path;
   std::string write_path;
-  std::string read_remote_ip;   ///< peer address in the read record
-  std::string write_remote_ip;  ///< peer address in the write record
-  net::CapacityProvider* reader_port = nullptr;
-  net::CapacityProvider* writer_port = nullptr;
-  std::string src_site;
-  std::string dst_site;
-  Bytes bytes = 0;
-  bool create_file_on_write = false;
-  Operation primary_op = Operation::kRead;  ///< which record the outcome carries
-  /// Control sessions to close out with 226 when the data phase ends.
-  std::vector<std::shared_ptr<ServerSession>> sessions;
+  std::vector<Leg> legs;
+
+  Bytes bytes() const {
+    Bytes total = 0;
+    for (const Leg& leg : legs) total += leg.bytes;
+    return total;
+  }
 };
+
+/// A control script's result: the granted plan or the failing reply.
+using Grant = Expected<DataPlan>;
+
+Grant refused(const Reply& reply) { return Grant::failure(reply.to_line()); }
+
+}  // namespace
 
 /// Live state of one transfer attempt, shared between the scheduled
 /// phases (control, data, timeout, injected fault).  The `done` flag
@@ -53,8 +72,9 @@ struct GridFtpClient::Attempt {
   Duration overhead = 0.0;    ///< control overhead of this attempt
   SimTime started = 0.0;      ///< attempt launch instant
   resilience::AttemptFault fault;
-  net::FlowId flow = 0;       ///< live data flow, 0 when none
-  Bytes moved = 0;            ///< bytes captured when a stall froze the flow
+  /// Bytes of flows no longer live: finished legs, plus what frozen or
+  /// torn-down flows had moved.
+  Bytes moved = 0;
   sim::EventId timeout_event = 0;
   sim::EventId fault_event = 0;
   bool done = false;
@@ -65,9 +85,41 @@ struct GridFtpClient::Attempt {
   obs::TraceContext ctx;
   /// Pre-allocated id of this attempt's span (recorded at resolution).
   obs::SpanId span_id = 0;
-  /// Control sessions whose data phase is live (to 426 on failure).
-  std::vector<std::shared_ptr<ServerSession>> transferring;
+  /// One control session per server, in launch order.  A session whose
+  /// data phase was granted (kTransferring) gets its 426 on failure.
+  std::vector<ServerSession> sessions;
+  DataPlan plan;              ///< granted by the control script
+  SimTime timed_start = 0.0;  ///< data-phase start (the logged window)
+  Bandwidth net_probe = 0.0;  ///< route probe taken when the flows start
+  std::size_t legs_running = 0;
+  Duration logging_overhead = 0.0;  ///< slowest logger among finished legs
+  TransferRecord record;      ///< leg 0's primary record (the outcome's)
   TransferCallback callback;  ///< per-attempt outcome consumer
+
+  /// Host charged with this attempt (empty when it names no server).
+  std::string host() const {
+    return record_server != nullptr ? record_server->config().host
+                                    : std::string{};
+  }
+
+  /// Records this attempt's client.attempt span, when traced.
+  void record_span(SimTime end, const char* result,
+                   const std::string& error) const {
+    if (!ctx.active()) return;
+    const std::string served_by = host();
+    obs::SpanRecord span;
+    span.id = span_id;
+    span.parent = ctx.parent;
+    span.trace_id = ctx.trace_id;
+    span.name = "client.attempt";
+    span.start_ns = obs::sim_ns(started);
+    span.end_ns = obs::sim_ns(end);
+    span.attrs = {{"OP", op_name},
+                  {"HOST", served_by.empty() ? "-" : served_by},
+                  {"RESULT", result}};
+    if (!error.empty()) span.attrs.emplace_back("ERROR", error);
+    obs::Tracer::global().record_full(std::move(span));
+  }
 };
 
 /// The backoff loop around one operation: launches attempts, spaces
@@ -255,41 +307,75 @@ void emit_attempt_event(const std::string& op, const std::string& host,
                                 std::move(event));
 }
 
+/// The bytes a granted retrieve will send (0 when the grant names none,
+/// which the zero-byte rule then refuses).
+Bytes granted_length(ServerSession& session) {
+  const auto data = session.take_pending_data();
+  return data && data->length ? *data->length : 0;
+}
+
+/// Asks the server for a file's size (SIZE).
+Expected<Bytes> remote_size(ServerSession& session, const std::string& path) {
+  const Reply reply = session.handle({.verb = "SIZE", .argument = path});
+  if (!reply.ok()) return Expected<Bytes>::failure(reply.to_line());
+  const auto size = util::parse_int(reply.text);
+  if (!size || *size < 0) {
+    return Expected<Bytes>::failure("501 unparseable size reply: " +
+                                    reply.to_line());
+  }
+  return static_cast<Bytes>(*size);
+}
+
+/// ERET's partial-range argument: "P <offset> <length> <path>".
+std::string partial_range(Bytes offset, Bytes length, const std::string& path) {
+  return util::format("P %llu %llu %s", static_cast<unsigned long long>(offset),
+                      static_cast<unsigned long long>(length), path.c_str());
+}
+
+/// Site of one end of a leg; a null server is the client itself.
+const std::string& end_site(const GridFtpServer* server,
+                            const std::string& client_site) {
+  return server != nullptr ? server->site() : client_site;
+}
+
 /// Records the transfer-lifecycle span tree (connect -> negotiate ->
 /// stream[i] -> fsync -> log) on the simulated timeline.  Phases are
 /// reconstructed at completion because they finish across scheduled
 /// callbacks; windows are simulated seconds mapped onto the tracer's
-/// nanosecond axis.  Returns the root span id so striped transfers can
-/// attach their per-stripe streams.
-obs::SpanId record_transfer_spans(
-    const std::string& op, const std::string& src_site,
-    const std::string& dst_site, Bytes bytes, int streams,
-    Duration control_overhead, SimTime timed_start, SimTime stream_start,
-    SimTime stream_end, Duration logging_overhead, bool write_side,
-    bool record_stream_child) {
+/// nanosecond axis.  A striped plan gets one stream span per stripe.
+void record_transfer_spans(const DataPlan& plan, const std::string& src_site,
+                           const std::string& dst_site, int streams,
+                           Duration control_overhead, SimTime timed_start,
+                           SimTime stream_end, Duration logging_overhead) {
   auto& tracer = obs::Tracer::global();
+  const DataPlan::Leg& first = plan.legs.front();
+  const Operation op =
+      first.reader != nullptr ? Operation::kRead : Operation::kWrite;
   const SimTime invoked = timed_start - control_overhead;
   const obs::SpanId root =
       tracer.record("transfer", 0, obs::sim_ns(invoked),
                     obs::sim_ns(stream_end + logging_overhead),
-                    {{"OP", op},
+                    {{"OP", to_string(op)},
                      {"SRC", src_site},
                      {"DST", dst_site},
-                     {"BYTES", std::to_string(bytes)},
+                     {"BYTES", std::to_string(plan.bytes())},
                      {"STREAMS", std::to_string(streams)}});
   // control_overhead = control-channel setup RTTs + auth CPU; the CPU
   // part is the negotiate phase.
-  const Duration auth = std::min(control_overhead, ProtocolCosts{}.auth_cpu);
+  const Duration auth = std::min(control_overhead, kAuthCpu);
   tracer.record("connect", root, obs::sim_ns(invoked),
                 obs::sim_ns(timed_start - auth));
   tracer.record("negotiate", root, obs::sim_ns(timed_start - auth),
                 obs::sim_ns(timed_start));
-  if (record_stream_child) {
-    tracer.record("stream", root, obs::sim_ns(stream_start),
-                  obs::sim_ns(stream_end),
-                  {{"BYTES", std::to_string(bytes)}});
+  for (std::size_t i = 0; i < plan.legs.size(); ++i) {
+    const DataPlan::Leg& leg = plan.legs[i];
+    std::vector<std::pair<std::string, std::string>> attrs;
+    if (plan.legs.size() > 1) attrs.emplace_back("STRIPE", std::to_string(i));
+    attrs.emplace_back("BYTES", std::to_string(leg.bytes));
+    tracer.record("stream", root, obs::sim_ns(leg.flow_start),
+                  obs::sim_ns(leg.flow_end), std::move(attrs));
   }
-  if (write_side) {
+  if (first.writer != nullptr) {
     // Storage flush is modeled inside the fluid flow window (the write
     // port is a flow resource), so the fsync phase closes with it.
     tracer.record("fsync", root, obs::sim_ns(stream_end),
@@ -297,7 +383,6 @@ obs::SpanId record_transfer_spans(
   }
   tracer.record("log", root, obs::sim_ns(stream_end),
                 obs::sim_ns(stream_end + logging_overhead));
-  return root;
 }
 
 }  // namespace
@@ -305,15 +390,13 @@ obs::SpanId record_transfer_spans(
 GridFtpClient::GridFtpClient(sim::Simulator& sim, net::FluidEngine& engine,
                              net::PathResolver& resolver, std::string site,
                              std::string ip,
-                             storage::StorageSystem* local_storage,
-                             ProtocolCosts costs)
+                             storage::StorageSystem* local_storage)
     : sim_(sim),
       engine_(engine),
       resolver_(resolver),
       site_(std::move(site)),
       ip_(std::move(ip)),
-      local_storage_(local_storage),
-      costs_(costs) {}
+      local_storage_(local_storage) {}
 
 void GridFtpClient::set_retry_policy(resilience::RetryPolicy policy,
                                      std::uint64_t jitter_seed) {
@@ -333,24 +416,21 @@ Duration GridFtpClient::control_rtt(const std::string& server_site) const {
   return 0.05;  // conservative wide-area default
 }
 
-void GridFtpClient::fail(TransferCallback& callback, std::string error,
-                         Duration overhead) {
-  outcome_counter("fail").inc();
-  emit_attempt_event("striped_get", "", /*ok=*/false, error, 0);
-  if (!callback) return;
-  TransferOutcome outcome;
-  outcome.ok = false;
-  outcome.error = std::move(error);
-  outcome.control_overhead = overhead;
-  callback(outcome);
-}
-
-void GridFtpClient::run_with_retry(std::string op_name, AttemptLauncher launch,
-                                   TransferCallback callback) {
+template <typename Servers, typename Script>
+void GridFtpClient::run_with_retry(std::string op_name, Servers servers,
+                                   std::string peer_ip, std::string path,
+                                   Operation op, const TransferOptions& options,
+                                   TransferCallback callback, Script script) {
   auto driver = std::make_shared<RetryDriver>();
   driver->client = this;
-  driver->op_name = std::move(op_name);
-  driver->launch = std::move(launch);
+  driver->op_name = op_name;
+  driver->launch = [this, op_name = std::move(op_name),
+                    servers = std::move(servers), peer_ip = std::move(peer_ip),
+                    path = std::move(path), op, options,
+                    script = std::move(script)](TransferCallback attempt_done) {
+    launch(op_name, servers, peer_ip, path, op, options,
+           std::move(attempt_done), script);
+  };
   driver->callback = std::move(callback);
   driver->ctx = obs::TraceContext::current();
   if (driver->ctx.active()) {
@@ -358,6 +438,48 @@ void GridFtpClient::run_with_retry(std::string op_name, AttemptLauncher launch,
     driver->op_started = sim_.now();
   }
   driver->start();
+}
+
+template <typename Script>
+void GridFtpClient::launch(std::string op_name,
+                           std::span<GridFtpServer* const> servers,
+                           std::string peer_ip, std::string path, Operation op,
+                           const TransferOptions& options,
+                           TransferCallback callback, Script script) {
+  // All control channels are brought up concurrently; the slowest one
+  // gates the transfer.
+  Duration rtt = 0.0;
+  for (const GridFtpServer* server : servers) {
+    rtt = std::max(rtt, control_rtt(server->site()));
+  }
+  const Duration overhead = kControlSetupRtts * rtt + kAuthCpu;
+  auto attempt = begin_attempt(
+      std::move(op_name), servers.empty() ? nullptr : servers.front(),
+      std::move(peer_ip), std::move(path), op, options, overhead,
+      std::move(callback));
+  attempt->sessions.reserve(servers.size());
+  for (GridFtpServer* server : servers) attempt->sessions.emplace_back(*server);
+
+  sim_.schedule_after(overhead, [this, attempt, script = std::move(script)] {
+    if (attempt->done) return;
+    if (attempt->fault.kind == resilience::FaultKind::kConnectFail) {
+      finish_attempt_failure(attempt, "421 connection refused (injected fault)");
+      return;
+    }
+    for (ServerSession& session : attempt->sessions) {
+      if (const auto denied = login_and_negotiate(session, attempt->options)) {
+        finish_attempt_failure(attempt, denied->to_line());
+        return;
+      }
+    }
+    Grant plan = script(attempt->sessions, attempt->path);
+    if (!plan) {
+      finish_attempt_failure(attempt, plan.error());
+      return;
+    }
+    attempt->plan = std::move(plan).value();
+    execute_plan(attempt);
+  });
 }
 
 std::shared_ptr<GridFtpClient::Attempt> GridFtpClient::begin_attempt(
@@ -417,6 +539,16 @@ void GridFtpClient::cancel_attempt_timers(
   }
 }
 
+void GridFtpClient::interrupt_flows(Attempt& attempt) {
+  for (DataPlan::Leg& leg : attempt.plan.legs) {
+    if (leg.flow == 0) continue;
+    if (const auto progress = engine_.interrupt_flow(leg.flow)) {
+      attempt.moved += progress->moved;
+    }
+    leg.flow = 0;
+  }
+}
+
 void GridFtpClient::realize_timed_fault(
     const std::shared_ptr<Attempt>& attempt) {
   if (attempt->done) return;
@@ -425,16 +557,11 @@ void GridFtpClient::realize_timed_fault(
                            "426 data channel truncated (injected fault)");
     return;
   }
-  // Stall: the channel stays open but bytes stop.  Freeze the flow,
-  // keeping the partial count for the eventual failure record; only the
-  // per-attempt timeout (if configured) resolves the attempt.
+  // Stall: the channels stay open but bytes stop.  Freeze every flow,
+  // keeping the partial counts for the eventual failure record; only
+  // the per-attempt timeout (if configured) resolves the attempt.
   attempt->stalled = true;
-  if (attempt->flow != 0) {
-    if (const auto progress = engine_.interrupt_flow(attempt->flow)) {
-      attempt->moved = progress->moved;
-    }
-    attempt->flow = 0;
-  }
+  interrupt_flows(*attempt);
 }
 
 void GridFtpClient::finish_attempt_failure(
@@ -452,27 +579,21 @@ void GridFtpClient::finish_attempt_failure(
         obs::TraceContext{attempt->ctx.trace_id, attempt->span_id});
   }
 
-  // Tear down the data channel, keeping the bytes it moved.
-  Bytes moved = attempt->moved;
-  if (attempt->flow != 0) {
-    if (const auto progress = engine_.interrupt_flow(attempt->flow)) {
-      moved = progress->moved;
+  // Tear down the data channels, keeping the bytes they moved.
+  interrupt_flows(*attempt);
+  const Bytes moved = attempt->moved;
+  // Close out control sessions whose data phase was granted (the server
+  // sends its 426) so a retried attempt starts from a clean slate.  This
+  // also rolls back a third-party destination whose source then refused.
+  for (ServerSession& session : attempt->sessions) {
+    if (session.state() == SessionState::kTransferring) {
+      (void)session.complete_transfer(false);
     }
-    attempt->flow = 0;
   }
-  // Close out control sessions whose data phase was live (the server
-  // sends its 426) so a retried attempt starts from a clean slate.
-  for (const auto& session : attempt->transferring) {
-    (void)session->complete_transfer(false);
-  }
-  attempt->transferring.clear();
 
   outcome_counter("fail").inc();
-  emit_attempt_event(
-      attempt->op_name,
-      attempt->record_server != nullptr ? attempt->record_server->config().host
-                                        : std::string{},
-      /*ok=*/false, error, moved);
+  emit_attempt_event(attempt->op_name, attempt->host(), /*ok=*/false, error,
+                     moved);
 
   // Outcome-tagged record: the history plane learns the outage window.
   if (attempt->record_server != nullptr && failure_sink_) {
@@ -494,22 +615,7 @@ void GridFtpClient::finish_attempt_failure(
     failure_sink_(record);
   }
 
-  if (attempt->ctx.active()) {
-    obs::SpanRecord span;
-    span.id = attempt->span_id;
-    span.parent = attempt->ctx.parent;
-    span.trace_id = attempt->ctx.trace_id;
-    span.name = "client.attempt";
-    span.start_ns = obs::sim_ns(attempt->started);
-    span.end_ns = obs::sim_ns(sim_.now());
-    span.attrs = {{"OP", attempt->op_name},
-                  {"HOST", attempt->record_server != nullptr
-                               ? attempt->record_server->config().host
-                               : std::string{"-"}},
-                  {"RESULT", "fail"},
-                  {"ERROR", error}};
-    obs::Tracer::global().record_full(std::move(span));
-  }
+  attempt->record_span(sim_.now(), "fail", error);
 
   TransferOutcome outcome;
   outcome.ok = false;
@@ -520,29 +626,31 @@ void GridFtpClient::finish_attempt_failure(
   if (callback) callback(outcome);
 }
 
-void GridFtpClient::execute_plan(DataPlan plan,
-                                 std::shared_ptr<Attempt> attempt) {
-  const auto route = resolver_.resolve(plan.src_site, plan.dst_site);
+void GridFtpClient::execute_plan(const std::shared_ptr<Attempt>& attempt) {
+  const DataPlan& plan = attempt->plan;
+  if (plan.legs.empty() ||
+      std::any_of(plan.legs.begin(), plan.legs.end(),
+                  [](const DataPlan::Leg& leg) { return leg.bytes == 0; })) {
+    finish_attempt_failure(attempt,
+                           "550 zero-byte transfer refused: " + attempt->path);
+    return;
+  }
+  // Every leg crosses the same route (stripes share one site).
+  const std::string& src_site = end_site(plan.legs.front().reader, site_);
+  const std::string& dst_site = end_site(plan.legs.front().writer, site_);
+  const auto route = resolver_.resolve(src_site, dst_site);
   if (!route) {
-    // Counted and recorded like every other failure (this path used to
-    // bypass the outcome counter entirely).
-    finish_attempt_failure(attempt, "no path " + plan.src_site + " -> " +
-                                        plan.dst_site + " in topology");
+    finish_attempt_failure(
+        attempt, "no path " + src_site + " -> " + dst_site + " in topology");
     return;
   }
 
   // The timed window opens when the transfer operation begins: data
   // channels are set up inside it, as in the instrumented server.
-  const SimTime timed_start = sim_.now();
-  const Duration data_setup = ProtocolCosts{}.data_setup_rtts * route->rtt;
+  attempt->timed_start = sim_.now();
+  const Duration data_setup = kDataSetupRtts * route->rtt;
 
-  // From here the control sessions are committed to a data phase; a
-  // failure must close them out.
-  attempt->transferring = plan.sessions;
-
-  sim_.schedule_after(data_setup, [this, route = *route,
-                                   plan = std::move(plan), timed_start,
-                                   attempt]() mutable {
+  sim_.schedule_after(data_setup, [this, route = *route, attempt]() mutable {
     if (attempt->done) return;     // timed out / truncated during setup
     if (attempt->stalled) return;  // stalled channel: bytes never start
 
@@ -559,175 +667,146 @@ void GridFtpClient::execute_plan(DataPlan plan,
         net_probe = net_probe == 0.0 ? c : std::min(net_probe, c);
       }
     }
+    attempt->net_probe = net_probe;
 
-    net::FlowSpec spec;
-    spec.path = route.path;
-    spec.links = std::move(route.links);
-    spec.tcp = route.tcp;
-    spec.base_rtt = route.rtt;
-    spec.streams = attempt->options.streams;
-    spec.buffer = attempt->options.buffer;
-    spec.size = plan.bytes;
-    if (plan.reader_port != nullptr)
-      spec.extra_resources.push_back(plan.reader_port);
-    if (plan.writer_port != nullptr)
-      spec.extra_resources.push_back(plan.writer_port);
-
-    spec.on_complete = [this, plan, timed_start, net_probe,
-                        attempt](const net::FlowStats& stats) {
-      if (attempt->done) return;
-      attempt->done = true;
-      cancel_attempt_timers(attempt);
-      attempt->flow = 0;
-      attempt->transferring.clear();
-
-      // Reinstall the request's context: the servers' records pick up
-      // the trace id and the transfer span tree parents under this
-      // attempt (the flow-completion callback lost the thread-local).
-      std::optional<obs::ScopedTraceContext> trace_scope;
-      if (attempt->ctx.active()) {
-        trace_scope.emplace(
-            obs::TraceContext{attempt->ctx.trace_id, attempt->span_id});
+    auto& legs = attempt->plan.legs;
+    attempt->legs_running = legs.size();
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+      net::FlowSpec spec;
+      spec.path = route.path;
+      // The last leg takes the route's link list; earlier ones copy it.
+      spec.links = i + 1 == legs.size() ? std::move(route.links) : route.links;
+      spec.tcp = route.tcp;
+      spec.base_rtt = route.rtt;
+      spec.streams = attempt->options.streams;
+      spec.buffer = attempt->options.buffer;
+      spec.size = legs[i].bytes;
+      // Storage ports: the servers' disks, or this client's (if any).
+      if (legs[i].reader != nullptr) {
+        spec.extra_resources.push_back(&legs[i].reader->storage().read_port());
+      } else if (local_storage_ != nullptr) {
+        spec.extra_resources.push_back(&local_storage_->read_port());
       }
-
-      TransferRecord primary;
-      Duration logging_overhead = 0.0;
-
-      if (plan.read_logger != nullptr) {
-        const TransferRecord r = plan.read_logger->record_transfer(
-            plan.read_remote_ip, plan.read_path, plan.bytes, timed_start,
-            stats.end, Operation::kRead, attempt->options.streams,
-            attempt->options.buffer, net_probe);
-        logging_overhead = std::max(
-            logging_overhead, plan.read_logger->config().logging_overhead);
-        if (plan.primary_op == Operation::kRead) primary = r;
+      if (legs[i].writer != nullptr) {
+        spec.extra_resources.push_back(
+            &legs[i].writer->storage().write_port());
+      } else if (local_storage_ != nullptr) {
+        spec.extra_resources.push_back(&local_storage_->write_port());
       }
-      if (plan.write_logger != nullptr) {
-        if (plan.create_file_on_write) {
-          plan.write_logger->fs().add_file(plan.write_path, plan.bytes);
-        }
-        const TransferRecord r = plan.write_logger->record_transfer(
-            plan.write_remote_ip, plan.write_path, plan.bytes, timed_start,
-            stats.end, Operation::kWrite, attempt->options.streams,
-            attempt->options.buffer, net_probe);
-        logging_overhead = std::max(
-            logging_overhead, plan.write_logger->config().logging_overhead);
-        if (plan.primary_op == Operation::kWrite) primary = r;
-      }
+      spec.on_complete = [this, attempt, i](const net::FlowStats& stats) {
+        complete_leg(attempt, i, stats);
+      };
 
-      // Close out the control sessions: the servers send their 226s.
-      for (const auto& session : plan.sessions) {
-        const Reply reply = session->complete_transfer(true);
-        WADP_CHECK(reply.positive_completion());
+      const net::FlowId flow = engine_.start_flow(std::move(spec));
+      if (!attempt->done) legs[i].flow = flow;
+      if (attempt->options.marker_interval > 0.0 &&
+          attempt->options.on_marker) {
+        std::make_shared<MarkerLoop>(sim_, engine_, flow,
+                                     attempt->options.marker_interval,
+                                     attempt->options.on_marker)
+            ->arm();
       }
-
-      outcome_counter("ok").inc();
-      emit_attempt_event(attempt->op_name,
-                         attempt->record_server != nullptr
-                             ? attempt->record_server->config().host
-                             : std::string{},
-                         /*ok=*/true, {}, plan.bytes);
-      record_transfer_spans(
-          to_string(plan.primary_op), plan.src_site, plan.dst_site, plan.bytes,
-          attempt->options.streams, attempt->overhead, timed_start, stats.start,
-          stats.end, logging_overhead, plan.write_logger != nullptr,
-          /*record_stream_child=*/true);
-      if (attempt->ctx.active()) {
-        obs::SpanRecord span;
-        span.id = attempt->span_id;
-        span.parent = attempt->ctx.parent;
-        span.trace_id = attempt->ctx.trace_id;
-        span.name = "client.attempt";
-        span.start_ns = obs::sim_ns(attempt->started);
-        span.end_ns = obs::sim_ns(stats.end + logging_overhead);
-        span.attrs = {{"OP", attempt->op_name},
-                      {"HOST", attempt->record_server != nullptr
-                                   ? attempt->record_server->config().host
-                                   : std::string{"-"}},
-                      {"RESULT", "ok"}};
-        obs::Tracer::global().record_full(std::move(span));
-      }
-
-      if (attempt->callback) {
-        TransferOutcome outcome;
-        outcome.ok = true;
-        outcome.record = primary;
-        outcome.control_overhead = attempt->overhead;
-        // The 226 reply reaches the client after the server's logging
-        // work (Section 3's ~25 ms) completes.
-        auto callback = std::move(attempt->callback);
-        attempt->callback = nullptr;
-        sim_.schedule_after(logging_overhead,
-                            [callback, outcome] { callback(outcome); });
-      }
-    };
-
-    const net::FlowId flow = engine_.start_flow(std::move(spec));
-    if (!attempt->done) attempt->flow = flow;
-    if (attempt->options.marker_interval > 0.0 && attempt->options.on_marker) {
-      std::make_shared<MarkerLoop>(sim_, engine_, flow,
-                                   attempt->options.marker_interval,
-                                   attempt->options.on_marker)
-          ->arm();
     }
   });
+}
+
+void GridFtpClient::complete_leg(const std::shared_ptr<Attempt>& attempt,
+                                 std::size_t index,
+                                 const net::FlowStats& stats) {
+  if (attempt->done) return;
+  DataPlan& plan = attempt->plan;
+  DataPlan::Leg& leg = plan.legs[index];
+  leg.flow = 0;
+  leg.flow_start = stats.start;
+  leg.flow_end = stats.end;
+  attempt->moved += leg.bytes;
+  const bool last = --attempt->legs_running == 0;
+  if (last) {
+    attempt->done = true;
+    cancel_attempt_timers(attempt);
+  }
+
+  // Reinstall the request's context: the servers' records pick up the
+  // trace id and the transfer span tree parents under this attempt (the
+  // flow-completion callback lost the thread-local).
+  std::optional<obs::ScopedTraceContext> trace_scope;
+  if (attempt->ctx.active()) {
+    trace_scope.emplace(
+        obs::TraceContext{attempt->ctx.trace_id, attempt->span_id});
+  }
+
+  // Each server logs its leg when the leg's last byte lands; the peer
+  // address is the other end (this client when that end is null).
+  const TransferOptions& options = attempt->options;
+  if (leg.reader != nullptr) {
+    TransferRecord record = leg.reader->record_transfer(
+        leg.writer != nullptr ? leg.writer->config().ip : ip_, plan.read_path,
+        leg.bytes, attempt->timed_start, stats.end, Operation::kRead,
+        options.streams, options.buffer, attempt->net_probe);
+    attempt->logging_overhead = std::max(
+        attempt->logging_overhead, leg.reader->config().logging_overhead);
+    if (index == 0) attempt->record = std::move(record);
+  }
+  if (leg.writer != nullptr) {
+    leg.writer->fs().add_file(plan.write_path, leg.bytes);
+    TransferRecord record = leg.writer->record_transfer(
+        leg.reader != nullptr ? leg.reader->config().ip : ip_, plan.write_path,
+        leg.bytes, attempt->timed_start, stats.end, Operation::kWrite,
+        options.streams, options.buffer, attempt->net_probe);
+    attempt->logging_overhead = std::max(
+        attempt->logging_overhead, leg.writer->config().logging_overhead);
+    if (index == 0 && leg.reader == nullptr) attempt->record = std::move(record);
+  }
+  if (!last) return;
+
+  // Close out the control sessions: the servers send their 226s.
+  for (ServerSession& session : attempt->sessions) {
+    (void)session.complete_transfer(true);
+  }
+
+  const Bytes bytes = plan.bytes();
+  outcome_counter("ok").inc();
+  emit_attempt_event(attempt->op_name, attempt->host(), /*ok=*/true, {},
+                     bytes);
+  const DataPlan::Leg& first = plan.legs.front();
+  record_transfer_spans(plan, end_site(first.reader, site_),
+                        end_site(first.writer, site_), options.streams,
+                        attempt->overhead, attempt->timed_start, stats.end,
+                        attempt->logging_overhead);
+  attempt->record_span(stats.end + attempt->logging_overhead, "ok", {});
+
+  if (attempt->callback) {
+    // The outcome carries leg 0's record widened to the whole plan: all
+    // its bytes, over the window that closes with the last leg.
+    TransferOutcome outcome;
+    outcome.ok = true;
+    outcome.record = std::move(attempt->record);
+    outcome.record.file_size = bytes;
+    outcome.record.end_time = stats.end;
+    outcome.control_overhead = attempt->overhead;
+    // The 226 reply reaches the client after the server's logging work
+    // (Section 3's ~25 ms) completes.
+    auto callback = std::move(attempt->callback);
+    attempt->callback = nullptr;
+    sim_.schedule_after(attempt->logging_overhead,
+                        [callback, outcome] { callback(outcome); });
+  }
 }
 
 void GridFtpClient::get(GridFtpServer& server, std::string remote_path,
                         const TransferOptions& options,
                         TransferCallback callback) {
   run_with_retry(
-      "get",
-      [this, &server, remote_path = std::move(remote_path),
-       options](TransferCallback attempt_done) {
-        start_get(server, remote_path, options, std::move(attempt_done));
-      },
-      std::move(callback));
-}
-
-void GridFtpClient::start_get(GridFtpServer& server,
-                              const std::string& remote_path,
-                              const TransferOptions& options,
-                              TransferCallback callback) {
-  const Duration rtt = control_rtt(server.site());
-  const Duration overhead = costs_.control_setup_rtts * rtt + costs_.auth_cpu;
-  auto attempt = begin_attempt("get", &server, ip_, remote_path,
-                               Operation::kRead, options, overhead,
-                               std::move(callback));
-  sim_.schedule_after(overhead, [this, &server, remote_path, attempt]() {
-    if (attempt->done) return;
-    if (attempt->fault.kind == resilience::FaultKind::kConnectFail) {
-      finish_attempt_failure(attempt, "421 connection refused (injected fault)");
-      return;
-    }
-    auto session = std::make_shared<ServerSession>(server);
-    if (const auto denied = login_and_negotiate(*session, attempt->options)) {
-      finish_attempt_failure(attempt, denied->to_line());
-      return;
-    }
-    const Reply reply =
-        session->handle({.verb = "RETR", .argument = remote_path});
-    if (!reply.ok()) {
-      finish_attempt_failure(attempt, reply.to_line());
-      return;
-    }
-    const auto data = session->take_pending_data();
-    WADP_CHECK(data.has_value() && data->length.has_value());
-
-    DataPlan plan;
-    plan.read_logger = &server;
-    plan.read_path = remote_path;
-    plan.read_remote_ip = ip_;
-    plan.reader_port = &server.storage().read_port();
-    plan.writer_port =
-        local_storage_ != nullptr ? &local_storage_->write_port() : nullptr;
-    plan.src_site = server.site();
-    plan.dst_site = site_;
-    plan.bytes = *data->length;
-    plan.primary_op = Operation::kRead;
-    plan.sessions.push_back(std::move(session));
-    execute_plan(std::move(plan), attempt);
-  });
+      "get", std::array{&server}, ip_, std::move(remote_path),
+      Operation::kRead, options, std::move(callback),
+      [](std::vector<ServerSession>& sessions, const std::string& path) {
+        ServerSession& session = sessions[0];
+        const Reply reply = session.handle({.verb = "RETR", .argument = path});
+        if (!reply.ok()) return refused(reply);
+        return Grant(DataPlan{.read_path = path,
+                              .legs = {{.reader = &session.server(),
+                                        .bytes = granted_length(session)}}});
+      });
 }
 
 void GridFtpClient::get_partial(GridFtpServer& server, std::string remote_path,
@@ -735,130 +814,36 @@ void GridFtpClient::get_partial(GridFtpServer& server, std::string remote_path,
                                 const TransferOptions& options,
                                 TransferCallback callback) {
   run_with_retry(
-      "get_partial",
-      [this, &server, remote_path = std::move(remote_path), offset, length,
-       options](TransferCallback attempt_done) {
-        start_get_partial(server, remote_path, offset, length, options,
-                          std::move(attempt_done));
-      },
-      std::move(callback));
-}
-
-void GridFtpClient::start_get_partial(GridFtpServer& server,
-                                      const std::string& remote_path,
-                                      Bytes offset, Bytes length,
-                                      const TransferOptions& options,
-                                      TransferCallback callback) {
-  const Duration rtt = control_rtt(server.site());
-  const Duration overhead = costs_.control_setup_rtts * rtt + costs_.auth_cpu;
-  auto attempt = begin_attempt("get_partial", &server, ip_, remote_path,
-                               Operation::kRead, options, overhead,
-                               std::move(callback));
-  sim_.schedule_after(overhead, [this, &server, remote_path, offset, length,
-                                 attempt]() {
-    if (attempt->done) return;
-    if (attempt->fault.kind == resilience::FaultKind::kConnectFail) {
-      finish_attempt_failure(attempt, "421 connection refused (injected fault)");
-      return;
-    }
-    auto session = std::make_shared<ServerSession>(server);
-    if (const auto denied = login_and_negotiate(*session, attempt->options)) {
-      finish_attempt_failure(attempt, denied->to_line());
-      return;
-    }
-    if (length == 0) {
-      finish_attempt_failure(attempt, "551 invalid byte range");
-      return;
-    }
-    const Reply reply = session->handle(
-        {.verb = "ERET",
-         .argument = util::format("P %llu %llu %s",
-                                  static_cast<unsigned long long>(offset),
-                                  static_cast<unsigned long long>(length),
-                                  remote_path.c_str())});
-    if (!reply.ok()) {
-      finish_attempt_failure(attempt, reply.to_line());
-      return;
-    }
-    const auto data = session->take_pending_data();
-    WADP_CHECK(data.has_value());
-
-    DataPlan plan;
-    plan.read_logger = &server;
-    plan.read_path = remote_path;
-    plan.read_remote_ip = ip_;
-    plan.reader_port = &server.storage().read_port();
-    plan.writer_port =
-        local_storage_ != nullptr ? &local_storage_->write_port() : nullptr;
-    plan.src_site = server.site();
-    plan.dst_site = site_;
-    plan.bytes = length;  // the log records bytes actually moved
-    plan.primary_op = Operation::kRead;
-    plan.sessions.push_back(std::move(session));
-    execute_plan(std::move(plan), attempt);
-  });
+      "get_partial", std::array{&server}, ip_, std::move(remote_path),
+      Operation::kRead, options, std::move(callback),
+      [offset, length](std::vector<ServerSession>& sessions,
+                       const std::string& path) {
+        ServerSession& session = sessions[0];
+        const Reply reply = session.handle(
+            {.verb = "ERET", .argument = partial_range(offset, length, path)});
+        if (!reply.ok()) return refused(reply);
+        // The log records the bytes actually moved.
+        return Grant(DataPlan{.read_path = path,
+                              .legs = {{.reader = &session.server(),
+                                        .bytes = granted_length(session)}}});
+      });
 }
 
 void GridFtpClient::put(GridFtpServer& server, std::string remote_path,
                         Bytes size, const TransferOptions& options,
                         TransferCallback callback) {
   run_with_retry(
-      "put",
-      [this, &server, remote_path = std::move(remote_path), size,
-       options](TransferCallback attempt_done) {
-        start_put(server, remote_path, size, options, std::move(attempt_done));
-      },
-      std::move(callback));
-}
-
-void GridFtpClient::start_put(GridFtpServer& server,
-                              const std::string& remote_path, Bytes size,
-                              const TransferOptions& options,
-                              TransferCallback callback) {
-  const Duration rtt = control_rtt(server.site());
-  const Duration overhead = costs_.control_setup_rtts * rtt + costs_.auth_cpu;
-  auto attempt =
-      begin_attempt("put", &server, ip_, remote_path, Operation::kWrite,
-                    options, overhead, std::move(callback));
-  sim_.schedule_after(overhead, [this, &server, remote_path, size, attempt]() {
-    if (attempt->done) return;
-    if (size == 0) {
-      finish_attempt_failure(attempt, "552 refusing zero-length store");
-      return;
-    }
-    if (attempt->fault.kind == resilience::FaultKind::kConnectFail) {
-      finish_attempt_failure(attempt, "421 connection refused (injected fault)");
-      return;
-    }
-    auto session = std::make_shared<ServerSession>(server);
-    if (const auto denied = login_and_negotiate(*session, attempt->options)) {
-      finish_attempt_failure(attempt, denied->to_line());
-      return;
-    }
-    (void)session->handle({.verb = "ALLO", .argument = std::to_string(size)});
-    const Reply reply =
-        session->handle({.verb = "STOR", .argument = remote_path});
-    if (!reply.ok()) {
-      finish_attempt_failure(attempt, reply.to_line());
-      return;
-    }
-    (void)session->take_pending_data();
-
-    DataPlan plan;
-    plan.write_logger = &server;
-    plan.write_path = remote_path;
-    plan.write_remote_ip = ip_;
-    plan.reader_port =
-        local_storage_ != nullptr ? &local_storage_->read_port() : nullptr;
-    plan.writer_port = &server.storage().write_port();
-    plan.src_site = site_;
-    plan.dst_site = server.site();
-    plan.bytes = size;
-    plan.create_file_on_write = true;
-    plan.primary_op = Operation::kWrite;
-    plan.sessions.push_back(std::move(session));
-    execute_plan(std::move(plan), attempt);
-  });
+      "put", std::array{&server}, ip_, std::move(remote_path),
+      Operation::kWrite, options, std::move(callback),
+      [size](std::vector<ServerSession>& sessions, const std::string& path) {
+        ServerSession& session = sessions[0];
+        (void)session.handle({.verb = "ALLO", .argument = std::to_string(size)});
+        const Reply reply = session.handle({.verb = "STOR", .argument = path});
+        if (!reply.ok()) return refused(reply);
+        return Grant(DataPlan{
+            .write_path = path,
+            .legs = {{.writer = &session.server(), .bytes = size}}});
+      });
 }
 
 void GridFtpClient::third_party(GridFtpServer& source,
@@ -867,257 +852,84 @@ void GridFtpClient::third_party(GridFtpServer& source,
                                 std::string destination_path,
                                 const TransferOptions& options,
                                 TransferCallback callback) {
-  run_with_retry(
-      "third_party",
-      [this, &source, &destination, source_path = std::move(source_path),
-       destination_path = std::move(destination_path),
-       options](TransferCallback attempt_done) {
-        start_third_party(source, destination, source_path, destination_path,
-                          options, std::move(attempt_done));
-      },
-      std::move(callback));
-}
-
-void GridFtpClient::start_third_party(GridFtpServer& source,
-                                      GridFtpServer& destination,
-                                      const std::string& source_path,
-                                      const std::string& destination_path,
-                                      const TransferOptions& options,
-                                      TransferCallback callback) {
-  // Both control channels are brought up concurrently; the slower one
-  // gates the transfer.
-  const Duration rtt =
-      std::max(control_rtt(source.site()), control_rtt(destination.site()));
-  const Duration overhead = costs_.control_setup_rtts * rtt + costs_.auth_cpu;
   // The outcome carries the source's (read) record, so failures are
   // charged to the source host with the destination as the peer.
-  auto attempt = begin_attempt("third_party", &source,
-                               destination.config().ip, source_path,
-                               Operation::kRead, options, overhead,
-                               std::move(callback));
-  sim_.schedule_after(overhead, [this, &source, &destination, source_path,
-                                 destination_path, attempt]() {
-    if (attempt->done) return;
-    if (attempt->fault.kind == resilience::FaultKind::kConnectFail) {
-      finish_attempt_failure(attempt, "421 connection refused (injected fault)");
-      return;
-    }
-    auto source_session = std::make_shared<ServerSession>(source);
-    auto dest_session = std::make_shared<ServerSession>(destination);
-    for (const auto& session : {source_session, dest_session}) {
-      if (const auto denied = login_and_negotiate(*session, attempt->options)) {
-        finish_attempt_failure(attempt, denied->to_line());
-        return;
-      }
-    }
-    // The source must know the size before the destination ALLOs.
-    const Reply size_reply =
-        source_session->handle({.verb = "SIZE", .argument = source_path});
-    if (!size_reply.ok()) {
-      finish_attempt_failure(attempt, size_reply.to_line());
-      return;
-    }
-    const auto size = util::parse_int(size_reply.text);
-    WADP_CHECK(size.has_value() && *size > 0);
-
-    (void)dest_session->handle(
-        {.verb = "ALLO", .argument = std::to_string(*size)});
-    const Reply stor_reply =
-        dest_session->handle({.verb = "STOR", .argument = destination_path});
-    if (!stor_reply.ok()) {
-      finish_attempt_failure(attempt, stor_reply.to_line());
-      return;
-    }
-    const Reply retr_reply =
-        source_session->handle({.verb = "RETR", .argument = source_path});
-    if (!retr_reply.ok()) {
-      // Roll the destination back: its data phase never starts.  Handing
-      // the session to the attempt routes the rollback through the one
-      // failure path (426 close-out included).
-      attempt->transferring.push_back(dest_session);
-      finish_attempt_failure(attempt, retr_reply.to_line());
-      return;
-    }
-    (void)source_session->take_pending_data();
-    (void)dest_session->take_pending_data();
-
-    DataPlan plan;
-    plan.read_logger = &source;
-    plan.read_path = source_path;
-    plan.read_remote_ip = destination.config().ip;
-    plan.write_logger = &destination;
-    plan.write_path = destination_path;
-    plan.write_remote_ip = source.config().ip;
-    plan.reader_port = &source.storage().read_port();
-    plan.writer_port = &destination.storage().write_port();
-    plan.src_site = source.site();
-    plan.dst_site = destination.site();
-    plan.bytes = static_cast<Bytes>(*size);
-    plan.create_file_on_write = true;
-    plan.primary_op = Operation::kRead;
-    plan.sessions.push_back(std::move(source_session));
-    plan.sessions.push_back(std::move(dest_session));
-    execute_plan(std::move(plan), attempt);
-  });
+  run_with_retry(
+      "third_party", std::array{&source, &destination},
+      destination.config().ip, std::move(source_path), Operation::kRead,
+      options, std::move(callback),
+      [destination_path = std::move(destination_path)](
+          std::vector<ServerSession>& sessions, const std::string& path) {
+        ServerSession& source_session = sessions[0];
+        ServerSession& dest_session = sessions[1];
+        // The source must know the size before the destination ALLOs.
+        const auto size = remote_size(source_session, path);
+        if (!size) return Grant::failure(size.error());
+        (void)dest_session.handle(
+            {.verb = "ALLO", .argument = std::to_string(size.value())});
+        Reply reply =
+            dest_session.handle({.verb = "STOR", .argument = destination_path});
+        if (!reply.ok()) return refused(reply);
+        // A refused RETR leaves the destination mid-STOR; the failure
+        // path rolls it back with its 426.
+        reply = source_session.handle({.verb = "RETR", .argument = path});
+        if (!reply.ok()) return refused(reply);
+        return Grant(DataPlan{
+            .read_path = path,
+            .write_path = destination_path,
+            .legs = {{.reader = &source_session.server(),
+                      .writer = &dest_session.server(),
+                      .bytes = size.value()}}});
+      });
 }
 
 void GridFtpClient::striped_get(std::vector<GridFtpServer*> stripes,
                                 std::string remote_path,
                                 const TransferOptions& options,
                                 TransferCallback callback) {
-  if (stripes.empty()) {
-    fail(callback, "500 no stripes given", 0.0);
-    return;
-  }
   for (GridFtpServer* stripe : stripes) {
     WADP_CHECK(stripe != nullptr);
   }
-  const Duration rtt = control_rtt(stripes.front()->site());
-  const Duration overhead = costs_.control_setup_rtts * rtt + costs_.auth_cpu;
-  sim_.schedule_after(overhead, [this, stripes = std::move(stripes),
-                                 remote_path = std::move(remote_path), options,
-                                 overhead,
-                                 callback = std::move(callback)]() mutable {
-    // Control phase: one session per stripe (SPAS opens one listener
-    // per data mover); every stripe must grant the retrieve.
-    const auto& site = stripes.front()->site();
-    std::vector<std::shared_ptr<ServerSession>> sessions;
-    std::optional<Bytes> size;
-    for (GridFtpServer* stripe : stripes) {
-      if (stripe->site() != site) {
-        fail(callback, "501 stripes span sites: " + stripe->site() +
-                           " != " + site,
-             overhead);
-        return;
-      }
-      auto session = std::make_shared<ServerSession>(*stripe);
-      if (const auto denied = login_and_negotiate(*session, options)) {
-        fail(callback, denied->to_line(), overhead);
-        return;
-      }
-      const auto stripe_size = stripe->fs().file_size(remote_path);
-      if (!stripe_size) {
-        fail(callback, "550 no such file: " + remote_path, overhead);
-        return;
-      }
-      if (size && *size != *stripe_size) {
-        fail(callback, "551 stripe size mismatch for " + remote_path,
-             overhead);
-        return;
-      }
-      size = stripe_size;
-      sessions.push_back(std::move(session));
-    }
-
-    const auto route = resolver_.resolve(site, site_);
-    if (!route) {
-      fail(callback, "no path " + site + " -> " + site_ + " in topology",
-           overhead);
-      return;
-    }
-
-    // Each stripe serves a contiguous slice via ERET (how striped
-    // GridFTP partitions a file across movers).
-    const auto stripe_count = static_cast<Bytes>(sessions.size());
-    const Bytes base_slice = *size / stripe_count;
-    const SimTime timed_start = sim_.now();
-    const Duration data_setup = costs_.data_setup_rtts * route->rtt;
-
-    struct StripeProgress {
-      std::size_t remaining;
-      SimTime last_end = 0.0;
-      TransferRecord first_record;
-      bool failed = false;
-      /// Per-stripe flow windows, for the stream[i] trace spans.
-      std::vector<std::tuple<SimTime, SimTime, Bytes>> windows;
-    };
-    auto progress = std::make_shared<StripeProgress>();
-    progress->remaining = sessions.size();
-
-    sim_.schedule_after(data_setup, [this, sessions = std::move(sessions),
-                                     stripes, remote_path, options, overhead,
-                                     timed_start, route = *route, size = *size,
-                                     base_slice, progress,
-                                     callback = std::move(callback)]() mutable {
-      for (std::size_t i = 0; i < sessions.size(); ++i) {
-        const Bytes offset = static_cast<Bytes>(i) * base_slice;
-        const Bytes slice = i + 1 == sessions.size()
-                                ? size - offset  // last stripe: remainder
-                                : base_slice;
-        const Reply reply = sessions[i]->handle(
-            {.verb = "ERET",
-             .argument = util::format(
-                 "P %llu %llu %s", static_cast<unsigned long long>(offset),
-                 static_cast<unsigned long long>(slice), remote_path.c_str())});
-        if (!reply.ok()) {
-          // A stripe refusing after negotiation is a programming error
-          // in this simulation (sizes were validated above).
-          WADP_CHECK_MSG(false, "stripe refused granted retrieve");
+  // One session per stripe: SPAS opens one listener per data mover.
+  run_with_retry(
+      "striped_get", stripes, ip_, std::move(remote_path), Operation::kRead,
+      options, std::move(callback),
+      [](std::vector<ServerSession>& sessions, const std::string& path) {
+        if (sessions.empty()) return Grant::failure("500 no stripes given");
+        const std::string& site = sessions.front().server().site();
+        for (const ServerSession& session : sessions) {
+          if (session.server().site() != site) {
+            return Grant::failure("501 stripes span sites: " +
+                                  session.server().site() + " != " + site);
+          }
         }
-        (void)sessions[i]->take_pending_data();
-
-        net::FlowSpec spec;
-        spec.path = route.path;
-        spec.links = route.links;
-        spec.tcp = route.tcp;
-        spec.base_rtt = route.rtt;
-        spec.streams = options.streams;
-        spec.buffer = options.buffer;
-        spec.size = slice;
-        spec.extra_resources.push_back(&stripes[i]->storage().read_port());
-        if (local_storage_ != nullptr) {
-          spec.extra_resources.push_back(&local_storage_->write_port());
+        // Every stripe must hold the same file.
+        std::optional<Bytes> size;
+        for (ServerSession& session : sessions) {
+          const auto stripe_size = remote_size(session, path);
+          if (!stripe_size) return Grant::failure(stripe_size.error());
+          if (size && *size != stripe_size.value()) {
+            return Grant::failure("551 stripe size mismatch for " + path);
+          }
+          size = stripe_size.value();
         }
-        spec.on_complete = [this, session = sessions[i], stripe = stripes[i],
-                            remote_path, slice, timed_start, options, size,
-                            overhead, progress,
-                            callback](const net::FlowStats& stats) {
-          const TransferRecord record = stripe->record_transfer(
-              ip_, remote_path, slice, timed_start, stats.end,
-              Operation::kRead, options.streams, options.buffer);
-          (void)session->complete_transfer(true);
-          progress->last_end = std::max(progress->last_end, stats.end);
-          progress->windows.emplace_back(stats.start, stats.end, slice);
-          if (progress->first_record.host.empty()) {
-            progress->first_record = record;
-          }
-          if (--progress->remaining > 0) return;
-
-          // All stripes done: synthesize the whole-file outcome over
-          // the full window.
-          outcome_counter("ok").inc();
-          emit_attempt_event("striped_get", stripe->config().host,
-                             /*ok=*/true, {}, size);
-          const obs::SpanId root = record_transfer_spans(
-              to_string(Operation::kRead), stripe->site(), site_, size,
-              options.streams, overhead, timed_start, timed_start,
-              progress->last_end, stripe->config().logging_overhead,
-              /*write_side=*/false, /*record_stream_child=*/false);
-          for (std::size_t w = 0; w < progress->windows.size(); ++w) {
-            const auto& [flow_start, flow_end, bytes] = progress->windows[w];
-            obs::Tracer::global().record(
-                "stream", root, obs::sim_ns(flow_start),
-                obs::sim_ns(flow_end),
-                {{"STRIPE", std::to_string(w)},
-                 {"BYTES", std::to_string(bytes)}});
-          }
-          TransferOutcome outcome;
-          outcome.ok = true;
-          outcome.control_overhead = overhead;
-          outcome.record = progress->first_record;
-          outcome.record.file_size = size;
-          outcome.record.start_time = timed_start;
-          outcome.record.end_time = progress->last_end;
-          if (callback) {
-            sim_.schedule_after(
-                stripe->config().logging_overhead,
-                [callback, outcome] { callback(outcome); });
-          }
-        };
-        engine_.start_flow(std::move(spec));
-      }
-    });
-  });
+        // Each stripe serves a contiguous slice via ERET (how striped
+        // GridFTP partitions a file across movers); the last one takes
+        // the remainder.
+        DataPlan plan{.read_path = path};
+        plan.legs.reserve(sessions.size());
+        const Bytes base_slice = *size / sessions.size();
+        for (std::size_t i = 0; i < sessions.size(); ++i) {
+          const Bytes offset = i * base_slice;
+          const Bytes slice =
+              i + 1 == sessions.size() ? *size - offset : base_slice;
+          const Reply reply = sessions[i].handle(
+              {.verb = "ERET", .argument = partial_range(offset, slice, path)});
+          if (!reply.ok()) return refused(reply);
+          plan.legs.push_back({.reader = &sessions[i].server(), .bytes = slice});
+        }
+        return Grant(std::move(plan));
+      });
 }
 
 }  // namespace wadp::gridftp

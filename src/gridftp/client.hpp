@@ -1,4 +1,5 @@
-// GridFTP client module: get / put / partial / third-party transfers.
+// GridFTP client module: get / put / partial / third-party / striped
+// transfers.
 //
 // The client orchestrates the protocol phases the paper's server
 // implements — control-channel establishment with authentication,
@@ -10,19 +11,23 @@
 // operation"; authentication happens before the timed window, exactly
 // as in the real server's transfer log.
 //
-// On top of the single-shot protocol drive sits the resilience layer:
-// an optional retry policy (bounded exponential backoff with jitter, a
-// per-attempt timeout, and a cumulative budget) re-runs failed
-// attempts, and an optional fault injector perturbs individual attempts
-// with refused connections, truncated data channels, and stalls.  Every
-// failed attempt tears its data channel down, bumps exactly one outcome
-// counter, emits one ULM event, and — when a failure sink is wired —
-// produces an outcome-tagged TransferRecord so the history plane learns
-// outage windows.
+// Every operation runs one attempt path: a control skeleton (overhead,
+// one logged-in session per server, then the operation's own short
+// command script, which grants a data plan) and one data phase (one
+// flow per leg; a striped get has a leg per stripe).  On top sits the
+// resilience layer: an optional retry policy (bounded exponential
+// backoff with jitter, a per-attempt timeout, and a cumulative budget)
+// re-runs failed attempts, and an optional fault injector perturbs
+// individual attempts with refused connections, truncated data
+// channels, and stalls.  Every failed attempt tears all its data flows
+// down, bumps exactly one outcome counter, emits one ULM event, and —
+// when a failure sink is wired — produces an outcome-tagged
+// TransferRecord so the history plane learns outage windows.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,7 +53,7 @@ struct TransferOptions {
   int streams = 8;                   ///< the paper's experiments used 8
   Bytes buffer = net::kTunedTcpBuffer;  ///< and 1 MB buffers (Section 6.1)
   /// > 0: emit performance markers every this many seconds during the
-  /// data phase (plain get/put/partial/third-party operations).
+  /// data phase, one series per data flow (per stripe when striped).
   Duration marker_interval = 0.0;
   ProgressCallback on_marker;  ///< invoked from simulator context
 };
@@ -63,13 +68,6 @@ struct TransferOutcome {
 
 using TransferCallback = std::function<void(const TransferOutcome&)>;
 
-/// Protocol timing constants (round trips on the control path).
-struct ProtocolCosts {
-  int control_setup_rtts = 3;   ///< TCP + GSI handshake round trips
-  Duration auth_cpu = 0.4;      ///< GSI public-key operations (seconds)
-  int data_setup_rtts = 2;      ///< PASV/PORT exchange + channel connect
-};
-
 class GridFtpClient {
  public:
   /// `local_storage` may be null for a client whose disk never binds
@@ -78,17 +76,15 @@ class GridFtpClient {
   /// grid-scale net::GridTopology both work.
   GridFtpClient(sim::Simulator& sim, net::FluidEngine& engine,
                 net::PathResolver& resolver, std::string site, std::string ip,
-                storage::StorageSystem* local_storage = nullptr,
-                ProtocolCosts costs = {});
+                storage::StorageSystem* local_storage = nullptr);
 
   const std::string& site() const { return site_; }
   const std::string& ip() const { return ip_; }
 
-  /// Installs a retry policy for get/get_partial/put/third_party.  The
-  /// default policy is single-shot (max_attempts = 1), the
-  /// pre-resilience behaviour.  `jitter_seed` seeds the backoff-jitter
-  /// Rng, so two clients with the same policy but different seeds
-  /// decorrelate their retries.  striped_get stays single-shot.
+  /// Installs a retry policy for every operation.  The default policy is
+  /// single-shot (max_attempts = 1), the pre-resilience behaviour.
+  /// `jitter_seed` seeds the backoff-jitter Rng, so two clients with the
+  /// same policy but different seeds decorrelate their retries.
   void set_retry_policy(resilience::RetryPolicy policy,
                         std::uint64_t jitter_seed = 0x7ead5eedULL);
   const resilience::RetryPolicy& retry_policy() const { return retry_policy_; }
@@ -137,25 +133,44 @@ class GridFtpClient {
   /// Each stripe logs its slice; the outcome's record summarizes the
   /// whole file over the full timed window (host = first stripe's).
   /// All stripes must be at the same site and the file identical on
-  /// each; violations fail the transfer.  Not covered by the retry
-  /// policy or fault injector.
+  /// each; violations fail the transfer.  Performance markers, when
+  /// enabled, report per stripe (as GridFTP's striped 112 replies do).
   void striped_get(std::vector<GridFtpServer*> stripes,
                    std::string remote_path, const TransferOptions& options,
                    TransferCallback callback);
 
  private:
   struct Attempt;      // live state of one attempt (client.cpp)
-  struct DataPlan;     // data-phase description (client.cpp)
   struct RetryDriver;  // backoff loop around an attempt launcher
 
   /// Launches one attempt of an operation; the callback reports that
   /// attempt's outcome (the retry driver decides what happens next).
   using AttemptLauncher = std::function<void(TransferCallback)>;
 
-  /// Wraps `launch` in the retry policy and delivers the final outcome
+  /// Runs one operation under the retry policy — every attempt is a
+  /// launch() with these arguments — and delivers the final outcome
   /// (with `attempts` filled in) to `callback`.
-  void run_with_retry(std::string op_name, AttemptLauncher launch,
-                      TransferCallback callback);
+  template <typename Servers, typename Script>
+  void run_with_retry(std::string op_name, Servers servers, std::string peer_ip,
+                      std::string path, Operation op,
+                      const TransferOptions& options, TransferCallback callback,
+                      Script script);
+
+  /// One attempt: the control skeleton every operation shares.  Charges
+  /// the slowest control RTT's setup overhead, begins the attempt, and
+  /// after the overhead opens and logs in one session per server
+  /// (`servers[0]` is charged with failures, `path` is its file and
+  /// `peer_ip` the remote address in its failure records).  It then
+  /// runs `script` — the operation's own commands, callable as
+  /// Expected<DataPlan>(std::vector<ServerSession>&, const std::string&
+  /// path) with DataPlan defined in client.cpp — and hands the granted
+  /// plan to execute_plan, or fails the attempt with the script's reply
+  /// line.
+  template <typename Script>
+  void launch(std::string op_name, std::span<GridFtpServer* const> servers,
+              std::string peer_ip, std::string path, Operation op,
+              const TransferOptions& options, TransferCallback callback,
+              Script script);
 
   /// Creates the per-attempt state: samples a fault, arms the attempt
   /// timeout, captures what a failure record needs.
@@ -168,7 +183,7 @@ class GridFtpClient {
                                          TransferCallback callback);
 
   /// Resolves an attempt as failed: idempotent; cancels timers, tears
-  /// down the data flow (keeping partial-byte counts), closes
+  /// down every live data flow (keeping partial-byte counts), closes
   /// transferring control sessions with a 426, bumps the fail counter,
   /// emits one ULM event, pushes an outcome-tagged record to the
   /// failure sink, and invokes the per-attempt callback.
@@ -178,33 +193,22 @@ class GridFtpClient {
   /// Cancels any pending timeout/fault events for the attempt.
   void cancel_attempt_timers(const std::shared_ptr<Attempt>& attempt);
 
+  /// Interrupts every live flow of the attempt, adding the bytes each
+  /// moved to the attempt's count.
+  void interrupt_flows(Attempt& attempt);
+
   /// Realizes a timed injected fault (truncate or stall) against a
   /// running attempt.
   void realize_timed_fault(const std::shared_ptr<Attempt>& attempt);
 
-  /// Runs the data phase of an attempt on the fluid engine and delivers
-  /// the outcome; shared by every non-striped operation.
-  void execute_plan(DataPlan plan, std::shared_ptr<Attempt> attempt);
+  /// Runs the data phase of the attempt's plan on the fluid engine: one
+  /// flow per leg, all on the same route.  A plan that would move 0
+  /// bytes fails the attempt before any flow starts.
+  void execute_plan(const std::shared_ptr<Attempt>& attempt);
 
-  // Single-attempt bodies behind the public operations.
-  void start_get(GridFtpServer& server, const std::string& remote_path,
-                 const TransferOptions& options, TransferCallback callback);
-  void start_get_partial(GridFtpServer& server, const std::string& remote_path,
-                         Bytes offset, Bytes length,
-                         const TransferOptions& options,
-                         TransferCallback callback);
-  void start_put(GridFtpServer& server, const std::string& remote_path,
-                 Bytes size, const TransferOptions& options,
-                 TransferCallback callback);
-  void start_third_party(GridFtpServer& source, GridFtpServer& destination,
-                         const std::string& source_path,
-                         const std::string& destination_path,
-                         const TransferOptions& options,
-                         TransferCallback callback);
-
-  /// Single-shot failure for operations outside the retry loop
-  /// (striped_get): one outcome counter, one ULM event, callback.
-  void fail(TransferCallback& callback, std::string error, Duration overhead);
+  /// Logs one finished leg; the last one resolves the attempt.
+  void complete_leg(const std::shared_ptr<Attempt>& attempt,
+                    std::size_t index, const net::FlowStats& stats);
 
   Duration control_rtt(const std::string& server_site) const;
 
@@ -214,7 +218,6 @@ class GridFtpClient {
   std::string site_;
   std::string ip_;
   storage::StorageSystem* local_storage_;
-  ProtocolCosts costs_;
 
   resilience::RetryPolicy retry_policy_;  // default: single-shot
   util::Rng retry_rng_;

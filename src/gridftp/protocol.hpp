@@ -103,6 +103,7 @@ class ServerSession {
   Reply handle(const CommandMessage& command);
   Reply handle_line(std::string_view line);
 
+  GridFtpServer& server() const { return server_; }
   SessionState state() const { return state_; }
   const SessionOptions& options() const { return options_; }
   const std::string& authenticated_user() const { return user_; }

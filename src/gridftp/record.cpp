@@ -11,8 +11,12 @@ namespace {
 
 /// Largest |TIME - (END - START)| an honest log line shows: to_ulm()
 /// writes all three with 3 decimals, so rounding contributes at most
-/// 1.5 ms.
+/// 1.5 ms.  It also bounds how far END - START strays from the true
+/// duration (two roundings: at most 1 ms).
 constexpr Duration kTimeFieldSlack = 0.002;
+
+/// Largest rounding error in a BW= value written with 3 decimals (KB/s).
+constexpr double kBwFieldSlack = 0.0005;
 
 }  // namespace
 
@@ -98,6 +102,26 @@ std::optional<TransferRecord> TransferRecord::from_ulm(
   if (ulm.get("TIME")) {
     const auto time = ulm.get_double("TIME");
     if (!time || !(std::abs(*time - (*end - *start)) <= kTimeFieldSlack)) {
+      return std::nullopt;
+    }
+  }
+  // BW= is SIZE over the true duration T, in KB/s.  With D = END - START,
+  // |D - T| <= 1 ms < kTimeFieldSlack, and the written BW is within
+  // kBwFieldSlack of SIZE/T, so an honest line satisfies
+  //   SIZE/(D + slack) - 0.0005 <= BW <= SIZE/(D - slack) + 0.0005,
+  // the upper bound existing only while D > slack.  The slack's spare
+  // 1 ms is a relative margin of at least 1e-12 for any duration under
+  // 30 years, far above the quotients' floating-point error.
+  if (ulm.get("BW")) {
+    const auto bw = ulm.get_double("BW");
+    if (!bw || !std::isfinite(*bw)) return std::nullopt;
+    const double kb = static_cast<double>(*size) / static_cast<double>(kKB);
+    const Duration span = *end - *start;
+    if (*bw < kb / (span + kTimeFieldSlack) - kBwFieldSlack) {
+      return std::nullopt;
+    }
+    if (span > kTimeFieldSlack &&
+        *bw > kb / (span - kTimeFieldSlack) + kBwFieldSlack) {
       return std::nullopt;
     }
   }

@@ -73,7 +73,9 @@ struct TransferRecord {
 
   /// Inverse of to_ulm; nullopt when required fields are missing or
   /// inconsistent (end before start; zero size, unless the record is
-  /// tagged RESULT=fail — a failed attempt may have moved nothing).
+  /// tagged RESULT=fail — a failed attempt may have moved nothing; a
+  /// TIME= or BW= that disagrees with SIZE, START and END beyond the
+  /// 3-decimal rounding to_ulm() applies).
   static std::optional<TransferRecord> from_ulm(const util::UlmRecord& ulm);
 
   bool operator==(const TransferRecord&) const = default;

@@ -138,7 +138,8 @@ std::optional<Bandwidth> ReplicaBroker::predicted_from_history(
   if (!snapshot) return std::nullopt;
 
   // Same estimate the provider publishes: mean of the last
-  // `prediction_window` same-class transfers, classes shared with the
+  // `prediction_window` completed same-class transfers (failed attempts
+  // are skipped, as the provider skips them), classes shared with the
   // GIIS path.  Only the past counts — the snapshot may already hold
   // transfers timestamped after `now` when the broker replays history.
   const int cls = classifier_.classify(size);
@@ -148,7 +149,7 @@ std::optional<Bandwidth> ReplicaBroker::predicted_from_history(
   const auto observations = snapshot.observations();
   for (auto it = observations.rbegin();
        it != observations.rend() && count < kWindow; ++it) {
-    if (it->time > now) continue;
+    if (it->time > now || !it->ok) continue;
     if (classifier_.classify(it->file_size) != cls) continue;
     sum += it->value;
     ++count;

@@ -120,11 +120,12 @@ TEST(TransferRecordTest, FromUlmRejectsInvertedTimes) {
   EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
 }
 
-/// `ulm` without its TIME= field, so START/END checks stand alone.
+/// `ulm` without its derived TIME= and BW= fields, so START/END checks
+/// stand alone.
 util::UlmRecord without_time(const util::UlmRecord& ulm) {
   util::UlmRecord out;
   for (const auto& [k, v] : ulm.fields()) {
-    if (k != "TIME") out.set(k, v);
+    if (k != "TIME" && k != "BW") out.set(k, v);
   }
   return out;
 }
@@ -164,15 +165,50 @@ TEST(TransferRecordTest, FromUlmRejectsTimeDisagreeingWithStartAndEnd) {
   }
 }
 
+TEST(TransferRecordTest, FromUlmRejectsBandwidthDisagreeingWithSize) {
+  {
+    auto ulm = sample_record().to_ulm();  // 10,240,000 B over 4 s
+    ulm.set_double("BW", 2600.0, 3);      // rewritten
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    ulm.set_double("BW", 1280.0, 3);
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    ulm.set("BW", "fast");  // present but unparseable
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value());
+    // 2 ms of END - START slack on 4 s allows ~1.3 KB/s either way.
+    ulm.set_double("BW", 2561.0, 3);
+    EXPECT_TRUE(TransferRecord::from_ulm(ulm).has_value());
+  }
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    auto ulm = sample_record().to_ulm();
+    ulm.set("BW", value);
+    EXPECT_FALSE(TransferRecord::from_ulm(ulm).has_value()) << "BW=" << value;
+  }
+  {
+    // A START rewritten far into the past with TIME= dropped: BW= alone
+    // now catches it.
+    auto ulm = sample_record().to_ulm();
+    ulm.set("START", "-1e308");
+    util::UlmRecord no_time;
+    for (const auto& [k, v] : ulm.fields()) {
+      if (k != "TIME") no_time.set(k, v);
+    }
+    EXPECT_FALSE(TransferRecord::from_ulm(no_time).has_value());
+  }
+}
+
 TEST(TransferRecordTest, FromUlmAcceptsEveryRoundedRecord) {
-  // to_ulm() rounds START, END and TIME to milliseconds independently;
-  // the TIME= cross-check must never reject what it wrote.
+  // to_ulm() rounds START, END, TIME and BW to 3 decimals independently;
+  // the TIME= and BW= cross-checks must never reject what it wrote.
+  // Sizes span 1 B to ~8e12 B; durations span 1.5 ms to ~13 minutes.
   TransferRecord r = sample_record();
   for (int i = 0; i < 2000; ++i) {
+    r.file_size = 1 + static_cast<Bytes>(i) * i * i * 1'000;
     r.start_time = 998'988'165.0 + i * 0.0001237;
-    r.end_time = r.start_time + 0.0015 + i * 0.0003851;
+    const Duration scale = i % 3 == 0 ? 1000.0 : 1.0;
+    r.end_time = r.start_time + 0.0015 + i * 0.0003851 * scale;
     const auto parsed = TransferRecord::from_ulm(r.to_ulm());
     ASSERT_TRUE(parsed.has_value()) << "record " << i;
+    EXPECT_EQ(parsed->file_size, r.file_size);
   }
 }
 

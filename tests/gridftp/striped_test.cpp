@@ -3,10 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "gridftp/client.hpp"
 #include "gridftp/server.hpp"
 #include "net/fabric.hpp"
+#include "obs/context.hpp"
+#include "obs/trace.hpp"
+#include "resilience/fault.hpp"
+#include "resilience/retry.hpp"
 #include "sim/simulator.hpp"
 #include "storage/storage.hpp"
 
@@ -178,6 +184,97 @@ TEST(StripedGetTest, DrainedMoverFailsWith421) {
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->ok);
   EXPECT_NE(outcome->error.find("421"), std::string::npos);
+}
+
+TEST(StripedGetTest, RetryRidesOutAnInjectedConnectFault) {
+  StripedWorld world(3);
+  resilience::FaultSpec spec;
+  spec.connect_failure_rate = 1.0;
+  resilience::FaultInjector injector(world.sim, spec, 5);
+  world.client.set_fault_injector(&injector);
+  resilience::RetryPolicy policy;
+  policy.max_attempts = 2;
+  policy.base_backoff = 5.0;
+  policy.jitter = 0.0;
+  world.client.set_retry_policy(policy);
+  // Only the first attempt (launched at t=0, refused at ~0.55 s) draws
+  // a fault; the retry after the 5 s backoff runs clean.
+  world.sim.schedule_at(world.sim.now() + 1.0,
+                        [&] { world.client.set_fault_injector(nullptr); });
+
+  std::optional<TransferOutcome> outcome;
+  world.client.striped_get(world.stripes(), "/data/big", {},
+                           [&](const TransferOutcome& o) { outcome = o; });
+  world.sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->ok) << outcome->error;
+  EXPECT_EQ(outcome->attempts, 2);
+  EXPECT_EQ(injector.faults_injected(), 1u);
+  EXPECT_EQ(outcome->record.file_size, 200'000'000u);
+  for (const auto* mover : world.stripes()) EXPECT_EQ(mover->log().size(), 1u);
+}
+
+TEST(StripedGetTest, TruncationInterruptsEveryStripe) {
+  StripedWorld world(4);
+  resilience::FaultSpec spec;
+  spec.truncation_rate = 1.0;
+  spec.mean_fault_delay = 1.0;  // well inside the ~5 s data phase
+  resilience::FaultInjector injector(world.sim, spec, 9);
+  world.client.set_fault_injector(&injector);
+  std::vector<TransferRecord> failures;
+  world.client.set_failure_sink(
+      [&](const TransferRecord& r) { failures.push_back(r); });
+
+  std::optional<TransferOutcome> outcome;
+  std::size_t flows_at_outcome = 99;
+  world.client.striped_get(world.stripes(), "/data/big", {},
+                           [&](const TransferOutcome& o) {
+                             outcome = o;
+                             flows_at_outcome = world.engine.active_flows();
+                           });
+  world.sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->ok);
+  EXPECT_NE(outcome->error.find("truncated"), std::string::npos);
+  // Every stripe's flow was torn down by the time the outcome arrived,
+  // and no mover logged a slice.
+  EXPECT_EQ(flows_at_outcome, 0u);
+  for (const auto* mover : world.stripes()) EXPECT_EQ(mover->log().size(), 0u);
+  // One failure record, charged to stripe 0, with the partial bytes of
+  // all stripes together.
+  ASSERT_EQ(failures.size(), 1u);
+  EXPECT_EQ(failures[0].host, "mover0.src.org");
+  EXPECT_GT(failures[0].file_size, 0u);
+  EXPECT_LT(failures[0].file_size, 200'000'000u);
+}
+
+TEST(StripedGetTest, TraceHasOneStreamSpanPerStripe) {
+  StripedWorld world(3);
+  for (auto* mover : world.stripes()) {
+    mover->fs().add_file("/data/odd", 100'000'001);
+  }
+  const std::uint64_t trace = obs::TraceContext::mint();
+  std::optional<TransferOutcome> outcome;
+  {
+    const obs::ScopedTraceContext scope(trace, 0);
+    world.client.striped_get(world.stripes(), "/data/odd", {},
+                             [&](const TransferOutcome& o) { outcome = o; });
+  }
+  world.sim.run();
+  ASSERT_TRUE(outcome && outcome->ok) << (outcome ? outcome->error : "");
+  EXPECT_EQ(outcome->record.host, "mover0.src.org");
+
+  std::vector<std::string> stripes;
+  Bytes bytes = 0;
+  for (const auto& span : obs::Tracer::global().finished()) {
+    if (span.trace_id != trace || span.name != "stream") continue;
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "STRIPE") stripes.push_back(value);
+      if (key == "BYTES") bytes += std::stoull(value);
+    }
+  }
+  EXPECT_EQ(stripes, (std::vector<std::string>{"0", "1", "2"}));
+  EXPECT_EQ(bytes, 100'000'001u);
 }
 
 }  // namespace

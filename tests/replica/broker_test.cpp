@@ -149,6 +149,65 @@ TEST_F(BrokerFixture, HistoryFallbackIgnoresTheFuture) {
   EXPECT_FALSE(selection->informed);
 }
 
+TEST_F(BrokerFixture, HistoryFallbackSkipsFailedAttemptsLikeTheProvider) {
+  // 15 completed 8 MB/s reads interleaved with same-class failed
+  // attempts (1 MB/s partial rates).  The provider's classified last-15
+  // mean skips the failures; the broker's history fallback must give
+  // the same answer as the GIIS-published predictedrdbandwidth.
+  history::HistoryStore store(history::StoreConfig{.instrumented = false});
+  double t = 1000.0;
+  for (int i = 0; i < 15; ++i) {
+    store.append(lbl.record_transfer(client_ip, "/data/run42", 500 * kMB, t,
+                                     t + 62.5, Operation::kRead, 8,
+                                     1'000'000));
+    t += 500.0;
+    if (i % 3 == 0) {
+      gridftp::TransferRecord failed;
+      failed.host = "dpsslx04.lbl.gov";
+      failed.source_ip = client_ip;
+      failed.file_name = "/data/run42";
+      failed.file_size = 300 * kMB;
+      failed.volume = "-";
+      failed.start_time = t;
+      failed.end_time = t + 300.0;
+      failed.op = Operation::kRead;
+      failed.streams = 8;
+      failed.tcp_buffer = 1'000'000;
+      failed.ok = false;
+      store.append(failed);
+      t += 500.0;
+    }
+  }
+  const SimTime now = t + 1000.0;
+
+  mds::GridFtpInfoProvider provider{
+      lbl, {.base = *mds::Dn::parse("hostname=dpsslx04.lbl.gov, dc=lbl, o=grid"),
+            .history = &store}};
+  mds::Gris gris{"lbl-gris", *mds::Dn::parse("dc=lbl, o=grid")};
+  gris.register_provider(&provider, 300.0);
+  mds::Giis published_giis{"published"};
+  published_giis.register_gris(gris, 0.0, 1e6);
+  ReplicaCatalog lbl_only;
+  lbl_only.add_replica("lfn://run42",
+                       {.site = "lbl", .server_host = "dpsslx04.lbl.gov",
+                        .path = "/data/run42"});
+
+  ReplicaBroker from_giis(lbl_only, published_giis,
+                          SelectionPolicy::kPredictedBest);
+  const auto published = from_giis.select("lfn://run42", client_ip,
+                                          500 * kMB, now);
+  mds::Giis empty_giis{"empty"};
+  ReplicaBroker from_history(lbl_only, empty_giis,
+                             SelectionPolicy::kPredictedBest);
+  from_history.bind_history(&store);
+  const auto fallback = from_history.select("lfn://run42", client_ip,
+                                            500 * kMB, now);
+  ASSERT_TRUE(published && published->predicted_bandwidth);
+  ASSERT_TRUE(fallback && fallback->predicted_bandwidth);
+  EXPECT_EQ(*published->predicted_bandwidth, 8'000'000.0);
+  EXPECT_EQ(*fallback->predicted_bandwidth, *published->predicted_bandwidth);
+}
+
 TEST_F(BrokerFixture, RoundRobinRotates) {
   ReplicaBroker broker(catalog, giis, SelectionPolicy::kRoundRobin);
   const auto first = broker.select("lfn://run42", client_ip, kMB, 0.0);
