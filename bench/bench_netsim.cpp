@@ -1,19 +1,29 @@
 // Grid-scale network fabric bench: event core + incremental max-min
-// allocation at 100 sites / 1000 links / >= 10k concurrent flows.
+// allocation, in two tiers.
 //
-// Runs one localized-traffic scenario on a seeded random grid with the
+// Tier 1 (locality 1.0) runs one localized-traffic scenario on a
+// seeded 100-site / 1000-link grid with >= 10k concurrent flows and the
 // lazy fluid engine.  Every allocator pass waterfills only the dirty
 // connected component; a periodic task on the simulator additionally
 // times FluidEngine::compare_with_reference() — a global recompute of
-// every active flow, the pre-refactor cost — every few simulated
-// seconds.  The speedup gate compares the two on a per-pass basis, so
-// the claim is measured in-bench, not assumed.
+// every active flow — every few simulated seconds.  The speedup gate
+// compares the two on a per-pass basis, so the claim is measured
+// in-bench, not assumed.
+//
+// Tier 2 (locality 0) runs the default `wadp simgrid` scenario (24
+// sites, 60 links, uniform site pairs, 120 simulated seconds, same
+// seeds, without the health plane): one large sharing component, so
+// every pass waterfills hundreds of flows.  It reports wall time, ns per
+// flow-entry and waterfill entry visits per flow-entry.
 //
 // Enforced by exit code:
 //   * scale: >= 100 sites, >= 1000 links, >= 10k peak concurrent flows;
 //   * >= 10 timed reference samples, and incremental reallocation
 //     >= 10x faster per pass than the reference global recompute;
-//   * conservation: flows started == completed + still active + shed.
+//   * conservation: flows started == completed + still active + shed;
+//   * locality 0: <= 8 waterfill entry visits per flow-entry (a
+//     deterministic count; a round-based waterfill reads every entry
+//     once per round, ~32 visits per flow-entry here).
 //
 // Emits BENCH_netsim.json (uploaded as a CI artifact).
 #include "common.hpp"
@@ -23,6 +33,87 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "workload/gridworld.hpp"
+
+namespace {
+
+/// `wadp simgrid`'s default wall time when this tier was added (24,798
+/// reallocs over 16.1M flow-entries, 513M waterfill entry visits).
+constexpr double kRoundBasedWallS = 21.9;
+constexpr double kWallTarget = 5.0;          // x faster than that
+constexpr double kMaxVisitsPerEntry = 8.0;
+
+/// Runs the default `wadp simgrid` scenario; returns gate failures.
+int run_locality0_tier() {
+  using namespace wadp;
+  workload::GridSpec spec;
+  spec.sites = 24;
+  spec.links = 60;
+  constexpr std::uint64_t kSimgridSeed = 42;  // `wadp simgrid` default
+  workload::GridWorld world(spec, kSimgridSeed);
+  workload::ScenarioConfig scenario;
+  scenario.duration = 120.0;
+  const auto summary = world.run(scenario, kSimgridSeed ^ 0x5ce0ULL);
+  const auto& alloc = summary.alloc;
+
+  const double entries = static_cast<double>(alloc.flows_touched);
+  const double visits_per_entry =
+      entries > 0.0 ? static_cast<double>(alloc.waterfill_visits) / entries
+                    : 0.0;
+  const double ns_per_entry =
+      entries > 0.0 ? static_cast<double>(alloc.alloc_ns) / entries : 0.0;
+  const double wall_s = static_cast<double>(summary.wall_ms) / 1e3;
+  const double vs_round_based = wall_s > 0.0 ? kRoundBasedWallS / wall_s : 0.0;
+
+  std::printf("\nlocality 0 (default `wadp simgrid`): %zu sites  %zu links  "
+              "sim %.0f s\n",
+              world.topology().site_count(), world.topology().link_count(),
+              summary.sim_elapsed);
+  std::printf("allocator: %llu passes, %.0f flow-entries (mean component "
+              "%.1f flows)\n",
+              static_cast<unsigned long long>(alloc.reallocs), entries,
+              alloc.reallocs > 0
+                  ? entries / static_cast<double>(alloc.reallocs)
+                  : 0.0);
+  std::printf("cost: wall %.2f s, %.1f ns per flow-entry, %.2f waterfill "
+              "visits per flow-entry (gate <= %.0f)\n",
+              wall_s, ns_per_entry, visits_per_entry, kMaxVisitsPerEntry);
+  std::printf("wall vs the %.1f s round-based baseline: %.1fx (target "
+              "%.0fx) -- informational: that baseline is one wall time "
+              "from one host, so it cannot gate a run on another; the "
+              "visit count is the deterministic gate\n",
+              kRoundBasedWallS, vs_round_based, kWallTarget);
+
+  auto& registry = obs::Registry::global();
+  registry
+      .gauge("wadp_bench_netsim_local0_wall_seconds", {},
+             "Locality-0 scenario wall time (s)")
+      .set(wall_s);
+  registry
+      .gauge("wadp_bench_netsim_local0_entry_ns", {},
+             "Locality-0 applied waterfill cost per flow-entry (ns)")
+      .set(ns_per_entry);
+  registry
+      .gauge("wadp_bench_netsim_local0_visits_ratio", {},
+             "Locality-0 waterfill entry visits per flow-entry")
+      .set(visits_per_entry);
+
+  int failures = 0;
+  if (!(visits_per_entry > 0.0) || visits_per_entry > kMaxVisitsPerEntry) {
+    std::fprintf(stderr,
+                 "FAIL: %.2f waterfill visits per flow-entry at locality 0 "
+                 "(need <= %.0f)\n",
+                 visits_per_entry, kMaxVisitsPerEntry);
+    ++failures;
+  }
+  if (summary.flows_started !=
+      summary.flows_completed + summary.active_at_end) {
+    std::fprintf(stderr, "FAIL: locality-0 flow conservation violated\n");
+    ++failures;
+  }
+  return failures;
+}
+
+}  // namespace
 
 int main() {
   using namespace wadp;
@@ -113,6 +204,8 @@ int main() {
               summary.utilization.max * 100.0,
               summary.utilization.mean * 100.0);
 
+  int failures = run_locality0_tier();
+
   auto& registry = obs::Registry::global();
   registry.gauge("wadp_bench_netsim_sites", {}, "Grid sites simulated")
       .set(static_cast<double>(world.topology().site_count()));
@@ -144,7 +237,6 @@ int main() {
   }
   std::printf("wrote BENCH_netsim.json\n");
 
-  int failures = 0;
   if (world.topology().site_count() < 100 ||
       world.topology().link_count() < 1000) {
     std::fprintf(stderr, "FAIL: scale gate (%zu sites, %zu links)\n",

@@ -156,7 +156,8 @@ struct GridFtpClient::RetryDriver
   void finished(TransferOutcome outcome) {
     outcome.attempts = attempts;
     const resilience::RetryPolicy& policy = client->retry_policy_;
-    if (outcome.ok) {
+    // A permanent refusal would repeat on every attempt.
+    if (outcome.ok || outcome.failure == FailureClass::kPermanent) {
       deliver(outcome);
       return;
     }
@@ -386,6 +387,11 @@ void record_transfer_spans(const DataPlan& plan, const std::string& src_site,
 }
 
 }  // namespace
+
+FailureClass classify_failure(std::string_view error) {
+  return !error.empty() && error.front() == '5' ? FailureClass::kPermanent
+                                                : FailureClass::kTransient;
+}
 
 GridFtpClient::GridFtpClient(sim::Simulator& sim, net::FluidEngine& engine,
                              net::PathResolver& resolver, std::string site,
@@ -619,6 +625,7 @@ void GridFtpClient::finish_attempt_failure(
 
   TransferOutcome outcome;
   outcome.ok = false;
+  outcome.failure = classify_failure(error);
   outcome.error = std::move(error);
   outcome.control_overhead = attempt->overhead;
   auto callback = std::move(attempt->callback);

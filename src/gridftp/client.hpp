@@ -29,6 +29,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gridftp/server.hpp"
@@ -58,9 +59,20 @@ struct TransferOptions {
   ProgressCallback on_marker;  ///< invoked from simulator context
 };
 
+/// Whether retrying a failed attempt can help.  Taken from the failure
+/// reply's leading code (RFC 959 reply classes): a 5yz refusal (no such
+/// file, zero-byte transfer, stripe mismatch) is permanent; a 4yz reply,
+/// a connect refusal, a truncation, a stall, an attempt timeout or any
+/// uncoded error is transient.
+enum class FailureClass { kNone, kTransient, kPermanent };
+
+/// Class of a failed attempt's error line.
+FailureClass classify_failure(std::string_view error);
+
 struct TransferOutcome {
   bool ok = false;
   std::string error;                  ///< set when !ok
+  FailureClass failure = FailureClass::kNone;  ///< set when !ok
   TransferRecord record;              ///< as logged by the serving host
   Duration control_overhead = 0.0;    ///< auth + command time before data
   int attempts = 1;                   ///< attempts consumed (retries + 1 try)

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <unordered_set>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -44,6 +43,10 @@ struct NetMetrics {
   obs::Counter& realloc_ns = obs::Registry::global().counter(
       "wadp_net_realloc_ns_total", {},
       "Wall nanoseconds spent in applied waterfill passes");
+  obs::Counter& waterfill_visits = obs::Registry::global().counter(
+      "wadp_net_waterfill_visits_total", {},
+      "Entry slots read by the waterfill round loop, fixed entries "
+      "included");
   obs::Counter& sweeps = obs::Registry::global().counter(
       "wadp_net_sweeps_total", {},
       "Lazy-mode dirty-set coalescing sweeps");
@@ -62,21 +65,264 @@ struct NetMetrics {
 
 }  // namespace
 
-template <typename Fn>
-void FluidEngine::for_each_resource(const Flow& f, Fn&& fn) {
-  const double stream_weight = static_cast<double>(f.spec.streams);
-  if (f.spec.path != nullptr) {
-    fn(static_cast<CapacityProvider*>(f.spec.path), stream_weight);
-  } else {
-    for (CapacityProvider* link : f.spec.links) fn(link, stream_weight);
-  }
-  for (CapacityProvider* extra : f.spec.extra_resources) fn(extra, 1.0);
+// ---------------------------------------------------------------------
+// MaxMinSolver: the waterfill.
+
+void MaxMinSolver::clear() {
+  ++problem_;
+  cap_.clear();
+  flow_begin_.assign(1, 0);
+  cross_res_.clear();
+  cross_weight_.clear();
+  res_ids_.clear();
 }
 
-Bandwidth FluidEngine::flow_cap(const Flow& f, SimTime t) const {
+void MaxMinSolver::add_flow(Bandwidth cap) {
+  WADP_CHECK_MSG(cap >= 0.0, "flow caps are non-negative");
+  cap_.push_back(cap);
+  flow_begin_.push_back(flow_begin_.back());
+}
+
+void MaxMinSolver::cross(std::uint32_t id, double weight) {
+  WADP_CHECK_MSG(!cap_.empty(), "cross() needs a flow");
+  WADP_CHECK_MSG(weight >= 1.0, "resource weights are integers >= 1");
+  if (id >= stamp_.size()) {
+    stamp_.resize(id + 1, 0);
+    local_of_.resize(id + 1, 0);
+  }
+  if (stamp_[id] != problem_) {
+    stamp_[id] = problem_;
+    local_of_[id] = static_cast<std::uint32_t>(res_ids_.size());
+    res_ids_.push_back(id);
+  }
+  cross_res_.push_back(local_of_[id]);
+  cross_weight_.push_back(weight);
+  ++flow_begin_.back();
+}
+
+std::uint64_t MaxMinSolver::solve(const std::vector<double>& capacity) {
+  const auto n = static_cast<std::uint32_t>(cap_.size());
+  const auto m = static_cast<std::uint32_t>(res_ids_.size());
+  WADP_CHECK(capacity.size() == m);
+  rate_.assign(n, 0.0);
+  if (n == 0) return 0;
+
+  fixed_.assign(n, 0);
+  round_mark_.assign(n, 0);
+  residual_.resize(m);
+  pool_.assign(m, 0.0);
+  share_.resize(m);
+  lightest_.resize(m);
+  res_mark_.assign(m, 0);
+  for (std::uint32_t r = 0; r < m; ++r) {
+    residual_[r] = std::max(0.0, capacity[r]);
+  }
+
+  // Resource -> member lists (CSR), filled in flow order, then sorted
+  // by ascending weight where they are not already.
+  member_begin_.assign(m + 1, 0);
+  for (const std::uint32_t r : cross_res_) ++member_begin_[r + 1];
+  for (std::uint32_t r = 0; r < m; ++r) {
+    member_begin_[r + 1] += member_begin_[r];
+  }
+  head_.assign(member_begin_.begin(), member_begin_.end() - 1);
+  members_.resize(cross_res_.size());
+  // Min-heap by cap of the flows whose cap can bind; fixed flows are
+  // dropped when they surface.  A flow's share on a resource never
+  // exceeds that resource's capacity by more than a few ulps (residuals
+  // only shrink, weight <= pool), so while it is unfixed every round's
+  // threshold stays below 2 * (least capacity it crosses) + 1.  A cap at
+  // or above that can neither be the least tentative rate nor fall
+  // under a threshold: the flow is fixed through its shares alone.
+  cap_heap_.clear();
+  for (std::uint32_t e = 0; e < n; ++e) {
+    double least_capacity = std::numeric_limits<double>::infinity();
+    for (std::uint32_t k = flow_begin_[e]; k < flow_begin_[e + 1]; ++k) {
+      const std::uint32_t r = cross_res_[k];
+      members_[head_[r]++] = {e, cross_weight_[k]};
+      pool_[r] += cross_weight_[k];
+      least_capacity = std::min(least_capacity, residual_[r]);
+    }
+    if (flow_begin_[e] == flow_begin_[e + 1] ||
+        cap_[e] < 2.0 * least_capacity + 1.0) {
+      cap_heap_.push_back(e);
+    }
+  }
+  const auto lighter = [](const Member& a, const Member& b) {
+    return a.weight < b.weight;
+  };
+  live_.clear();
+  for (std::uint32_t r = 0; r < m; ++r) {
+    const auto first = members_.begin() + member_begin_[r];
+    const auto last = members_.begin() + member_begin_[r + 1];
+    if (!std::is_sorted(first, last, lighter)) {
+      std::sort(first, last, [](const Member& a, const Member& b) {
+        return a.weight != b.weight ? a.weight < b.weight : a.flow < b.flow;
+      });
+    }
+    head_[r] = member_begin_[r];
+    lightest_[r] = members_[head_[r]].weight;
+    live_.push_back(r);
+  }
+
+  const auto cap_after = [this](std::uint32_t a, std::uint32_t b) {
+    return cap_[a] != cap_[b] ? cap_[a] > cap_[b] : a > b;
+  };
+  std::make_heap(cap_heap_.begin(), cap_heap_.end(), cap_after);
+  const auto pop_cap = [&] {
+    std::pop_heap(cap_heap_.begin(), cap_heap_.end(), cap_after);
+    cap_heap_.pop_back();
+  };
+
+  std::uint64_t visits = 0;
+  std::uint32_t unfixed = n;
+  std::uint32_t round = 0;
+  while (unfixed > 0) {
+    ++round;
+    // The least tentative rate over unfixed flows is min(cap, shares),
+    // so it is the smaller of the least unfixed cap and the least share
+    // over resources.  On one resource, residual * w / pool is monotone
+    // in w (rounding is monotone), so its least share is the one of its
+    // lightest unfixed member.
+    while (!cap_heap_.empty() && fixed_[cap_heap_.front()] != 0) {
+      ++visits;
+      pop_cap();
+    }
+    double least = std::numeric_limits<double>::infinity();
+    if (!cap_heap_.empty()) {
+      ++visits;
+      least = cap_[cap_heap_.front()];
+    }
+    for (const std::uint32_t r : live_) {
+      share_[r] = residual_[r] * lightest_[r] / pool_[r];
+      least = std::min(least, share_[r]);
+    }
+
+    // Fix every flow at the minimum (ties fix together).  A flow's
+    // tentative rate is under the threshold exactly when its cap is or
+    // its share on one of its resources is; members are sorted by
+    // weight, so on each resource those are a prefix of the unfixed.
+    const double threshold = least * (1.0 + 1e-12) + 1e-9;
+    candidates_.clear();
+    const auto propose = [&](std::uint32_t e) {
+      if (round_mark_[e] == round) return;
+      round_mark_[e] = round;
+      candidates_.push_back(e);
+    };
+    while (!cap_heap_.empty() && cap_[cap_heap_.front()] <= threshold) {
+      ++visits;
+      const std::uint32_t e = cap_heap_.front();
+      pop_cap();
+      if (fixed_[e] == 0) propose(e);
+    }
+    for (const std::uint32_t r : live_) {
+      if (share_[r] > threshold) continue;
+      const double residual = residual_[r];
+      const double pool = pool_[r];
+      std::uint32_t j = head_[r];
+      const double lightest = lightest_[r];
+      for (; j < member_begin_[r + 1]; ++j) {
+        ++visits;
+        const Member& member = members_[j];
+        if (fixed_[member.flow] != 0) continue;
+        // A member as light as the head has the head's share, share_[r].
+        if (member.weight != lightest &&
+            residual * member.weight / pool > threshold) {
+          break;
+        }
+        propose(member.flow);
+      }
+      head_[r] = j;  // every member before j is fixed by this round's end
+    }
+    WADP_CHECK_MSG(!candidates_.empty(),
+                   "max-min allocation failed to converge");
+
+    // Rates from the round-start residuals and pools, then release
+    // them in ascending flow order — the order the float results
+    // depend on.
+    std::sort(candidates_.begin(), candidates_.end());
+    for (const std::uint32_t e : candidates_) {
+      ++visits;
+      double share = std::numeric_limits<double>::infinity();
+      for (std::uint32_t k = flow_begin_[e]; k < flow_begin_[e + 1]; ++k) {
+        const std::uint32_t r = cross_res_[k];
+        const double w = cross_weight_[k];
+        share = std::min(share, w == lightest_[r]
+                                    ? share_[r]
+                                    : residual_[r] * w / pool_[r]);
+      }
+      rate_[e] = std::min(cap_[e], share);
+    }
+    touched_.clear();
+    for (const std::uint32_t e : candidates_) {
+      fixed_[e] = 1;
+      --unfixed;
+      for (std::uint32_t k = flow_begin_[e]; k < flow_begin_[e + 1]; ++k) {
+        const std::uint32_t r = cross_res_[k];
+        residual_[r] = std::max(0.0, residual_[r] - rate_[e]);
+        // Exact: weights are integer-valued doubles and a pool is a sum
+        // of them far below 2^53, so every partial sum and difference
+        // is an integer the double represents exactly.  The decremented
+        // pool is therefore bit-identical to re-summing the unfixed
+        // members' weights, in any order, as a full rescan would.
+        pool_[r] -= cross_weight_[k];
+        if (res_mark_[r] != round) {
+          res_mark_[r] = round;
+          touched_.push_back(r);
+        }
+      }
+    }
+
+    // Advance the touched resources past their fixed members; drop the
+    // ones left without unfixed members.
+    bool drained = false;
+    for (const std::uint32_t r : touched_) {
+      std::uint32_t j = head_[r];
+      const std::uint32_t end = member_begin_[r + 1];
+      while (j < end) {
+        ++visits;
+        if (fixed_[members_[j].flow] == 0) break;
+        ++j;
+      }
+      head_[r] = j;
+      if (j < end) {
+        lightest_[r] = members_[j].weight;
+      } else {
+        drained = true;
+      }
+    }
+    if (drained) {
+      std::erase_if(live_, [this](std::uint32_t r) {
+        return head_[r] == member_begin_[r + 1];
+      });
+    }
+  }
+  return visits;
+}
+
+const std::vector<double>& MaxMinSolver::resource_sums() {
+  sums_.assign(res_ids_.size(), 0.0);
+  for (std::uint32_t e = 0; e < cap_.size(); ++e) {
+    for (std::uint32_t k = flow_begin_[e]; k < flow_begin_[e + 1]; ++k) {
+      sums_[cross_res_[k]] += rate_[e];
+    }
+  }
+  return sums_;
+}
+
+// ---------------------------------------------------------------------
+// FluidEngine: flow and resource slots.
+
+Bandwidth FluidEngine::flow_cap(const Flow& f, SimTime t) {
   const Duration elapsed = t - f.start;
   return static_cast<double>(f.spec.streams) *
          ramp_rate_cap(f.tcp, f.spec.buffer, f.rtt, elapsed);
+}
+
+std::optional<FluidEngine::Slot> FluidEngine::find_flow(FlowId id) const {
+  const auto it = flow_slots_.find(id);
+  if (it == flow_slots_.end()) return std::nullopt;
+  return it->second;
 }
 
 FlowId FluidEngine::start_flow(FlowSpec spec) {
@@ -105,7 +351,7 @@ FlowId FluidEngine::start_flow(FlowSpec spec) {
   register_flow(id, std::move(flow));
 
   NetMetrics::get().started.inc();
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
+  NetMetrics::get().active.set(static_cast<double>(active_));
 
   if (config_.lazy_progress) {
     request_sweep();
@@ -117,43 +363,101 @@ FlowId FluidEngine::start_flow(FlowSpec spec) {
 }
 
 void FluidEngine::register_flow(FlowId id, Flow&& flow) {
-  const auto [it, inserted] = flows_.emplace(id, std::move(flow));
-  WADP_CHECK(inserted);
-  Flow& f = it->second;
+  // Entries of finished flows are dropped here, never while a walk over
+  // order_ may be running.
+  if (order_.size() >= 2 * active_ + 64) {
+    std::erase_if(order_, [this](const FlowRef& ref) { return !live(ref); });
+  }
+  if (crossing_garbage_ >= 256 && 2 * crossing_garbage_ >= crossings_.size()) {
+    std::vector<Crossing> packed;
+    packed.reserve(crossings_.size() - crossing_garbage_);
+    for (FlowHead& head : heads_) {
+      if (head.id == 0) continue;
+      const auto first = crossings_.begin() + head.cross_begin;
+      head.cross_begin = static_cast<std::uint32_t>(packed.size());
+      packed.insert(packed.end(), first, first + head.cross_count);
+    }
+    crossings_ = std::move(packed);
+    crossing_garbage_ = 0;
+  }
+  Slot slot = 0;
+  if (free_flows_.empty()) {
+    slot = static_cast<Slot>(flows_.size());
+    flows_.push_back(std::move(flow));
+    heads_.emplace_back();
+  } else {
+    slot = free_flows_.back();
+    free_flows_.pop_back();
+    flows_[slot] = std::move(flow);
+  }
+  heads_[slot].id = id;
+  heads_[slot].cross_begin = static_cast<std::uint32_t>(crossings_.size());
+  heads_[slot].cross_count = 0;
+  flow_slots_.emplace(id, slot);
+  order_.emplace_back(id, slot);
+  ++active_;
+
   const SimTime now = sim_.now();
-  for_each_resource(f, [&](CapacityProvider* r, double) {
-    auto [rit, fresh] = resources_.try_emplace(r);
-    ResourceState& state = rit->second;
+  const auto cross = [&](CapacityProvider* provider, double weight) {
+    const auto [it, fresh] = resource_slots_.try_emplace(provider, 0);
     if (fresh) {
-      state.capacity_cached = r->capacity_at(now);
-      if (config_.lazy_progress) arm_load_event(r, state);
+      if (free_resources_.empty()) {
+        it->second = static_cast<Slot>(resources_.size());
+        resources_.emplace_back();
+      } else {
+        it->second = free_resources_.back();
+        free_resources_.pop_back();
+      }
+      Resource& res = resources_[it->second];
+      res.provider = provider;
+      res.capacity_cached = provider->capacity_at(now);
+      if (config_.lazy_progress) arm_load_event(it->second);
     }
-    state.members.push_back(id);
-    if (!state.dirty) {
-      state.dirty = true;
-      dirty_resources_.push_back(r);
-    }
-  });
-  if (config_.lazy_progress && f.ramp_rtts_total > 0) arm_ramp(id, f);
+    Resource& res = resources_[it->second];
+    crossings_.push_back(
+        {it->second, static_cast<std::uint32_t>(res.members.size()), weight});
+    res.members.push_back({slot, heads_[slot].cross_count++});
+    mark_dirty(it->second);
+  };
+  const FlowSpec& spec = flows_[slot].spec;
+  const double stream_weight = static_cast<double>(spec.streams);
+  if (spec.path != nullptr) {
+    cross(spec.path, stream_weight);
+  } else {
+    for (CapacityProvider* link : spec.links) cross(link, stream_weight);
+  }
+  for (CapacityProvider* extra : spec.extra_resources) cross(extra, 1.0);
+
+  if (config_.lazy_progress && flows_[slot].ramp_rtts_total > 0) {
+    arm_ramp(slot);
+  }
 }
 
-void FluidEngine::unlink_flow(FlowId id, Flow& f) {
+void FluidEngine::unlink_flow(Slot slot) {
   const SimTime now = sim_.now();
-  for_each_resource(f, [&](CapacityProvider* r, double) {
-    const auto rit = resources_.find(r);
-    if (rit == resources_.end()) return;
-    ResourceState& state = rit->second;
-    std::erase(state.members, id);
-    if (state.members.empty()) {
+  const FlowHead& head = heads_[slot];
+  for (std::uint32_t i = 0; i < head.cross_count; ++i) {
+    const Crossing c = crossings_[head.cross_begin + i];
+    Resource& res = resources_[c.resource];
+    const Member last = res.members.back();
+    res.members[c.member_pos] = last;
+    crossings_[heads_[last.flow].cross_begin + last.crossing].member_pos =
+        c.member_pos;
+    res.members.pop_back();
+    if (res.members.empty()) {
       // Last flow gone: the resource reads as idle from now on.
-      r->on_allocation(now, 0.0);
-      if (state.load_ev != 0) sim_.cancel(state.load_ev);
-      resources_.erase(rit);
-    } else if (!state.dirty) {
-      state.dirty = true;
-      dirty_resources_.push_back(r);
+      res.provider->on_allocation(now, 0.0);
+      if (res.load_ev != 0) sim_.cancel(res.load_ev);
+      resource_slots_.erase(res.provider);
+      res.provider = nullptr;
+      res.dirty = false;
+      res.load_ev = 0;
+      free_resources_.push_back(c.resource);
+    } else {
+      mark_dirty(c.resource);
     }
-  });
+  }
+  Flow& f = flows_[slot];
   if (f.completion_ev != 0) {
     sim_.cancel(f.completion_ev);
     f.completion_ev = 0;
@@ -164,24 +468,33 @@ void FluidEngine::unlink_flow(FlowId id, Flow& f) {
   }
 }
 
-void FluidEngine::mark_resources_dirty(const Flow& f) {
-  for_each_resource(f, [&](CapacityProvider* r, double) {
-    const auto rit = resources_.find(r);
-    if (rit == resources_.end()) return;
-    if (!rit->second.dirty) {
-      rit->second.dirty = true;
-      dirty_resources_.push_back(r);
-    }
-  });
+void FluidEngine::release_flow(Slot slot) {
+  flow_slots_.erase(heads_[slot].id);
+  crossing_garbage_ += heads_[slot].cross_count;
+  heads_[slot] = FlowHead{};
+  flows_[slot] = Flow{};
+  free_flows_.push_back(slot);
+  --active_;
+}
+
+void FluidEngine::mark_dirty(Slot resource) {
+  Resource& res = resources_[resource];
+  if (res.dirty) return;
+  res.dirty = true;
+  dirty_resources_.push_back(resource);
+}
+
+void FluidEngine::mark_resources_dirty(Slot slot) {
+  for (const Crossing& c : crossings(slot)) mark_dirty(c.resource);
 }
 
 bool FluidEngine::cancel_flow(FlowId id) {
   if (!config_.lazy_progress) advance_to(sim_.now());
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return false;
-  unlink_flow(id, it->second);
-  flows_.erase(it);
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
+  const auto slot = find_flow(id);
+  if (!slot) return false;
+  unlink_flow(*slot);
+  release_flow(*slot);
+  NetMetrics::get().active.set(static_cast<double>(active_));
   if (config_.lazy_progress) {
     request_sweep();
   } else {
@@ -192,20 +505,19 @@ bool FluidEngine::cancel_flow(FlowId id) {
 }
 
 Bandwidth FluidEngine::current_rate(FlowId id) const {
-  const auto it = flows_.find(id);
-  return it == flows_.end() ? 0.0 : it->second.rate;
+  const auto slot = find_flow(id);
+  return slot ? flows_[*slot].rate : 0.0;
 }
 
 std::optional<FluidEngine::FlowProgress> FluidEngine::progress(FlowId id) {
   if (!config_.lazy_progress) {
     advance_to(sim_.now());
-  } else {
-    const auto lit = flows_.find(id);
-    if (lit != flows_.end()) integrate_flow(id, lit->second, sim_.now());
+  } else if (const auto slot = find_flow(id)) {
+    integrate_flow(flows_[*slot], sim_.now());
   }
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return std::nullopt;
-  const Flow& f = it->second;
+  const auto slot = find_flow(id);
+  if (!slot) return std::nullopt;
+  const Flow& f = flows_[*slot];
   FlowProgress p;
   p.total = f.spec.size;
   const auto remaining = static_cast<Bytes>(std::max(0.0, f.remaining));
@@ -217,18 +529,18 @@ std::optional<FluidEngine::FlowProgress> FluidEngine::progress(FlowId id) {
 std::optional<FluidEngine::FlowProgress> FluidEngine::interrupt_flow(
     FlowId id) {
   if (!config_.lazy_progress) advance_to(sim_.now());
-  const auto it = flows_.find(id);
-  if (it == flows_.end()) return std::nullopt;
-  Flow& f = it->second;
-  if (config_.lazy_progress) integrate_flow(id, f, sim_.now());
+  const auto slot = find_flow(id);
+  if (!slot) return std::nullopt;
+  Flow& f = flows_[*slot];
+  if (config_.lazy_progress) integrate_flow(f, sim_.now());
   FlowProgress p;
   p.total = f.spec.size;
   const auto remaining = static_cast<Bytes>(std::max(0.0, f.remaining));
   p.moved = f.spec.size > remaining ? f.spec.size - remaining : 0;
   p.rate = f.rate;
-  unlink_flow(id, f);
-  flows_.erase(it);
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
+  unlink_flow(*slot);
+  release_flow(*slot);
+  NetMetrics::get().active.set(static_cast<double>(active_));
   if (config_.lazy_progress) {
     request_sweep();
   } else {
@@ -243,7 +555,7 @@ std::optional<FluidEngine::FlowProgress> FluidEngine::interrupt_flow(
 // This is the original engine's schedule, preserved bit-identically.
 
 void FluidEngine::advance_to(SimTime t) {
-  if (flows_.empty()) {
+  if (active_ == 0) {
     last_update_ = t;
     return;
   }
@@ -258,28 +570,33 @@ void FluidEngine::advance_to(SimTime t) {
   };
   std::vector<Completion> done;
 
-  for (auto it = flows_.begin(); it != flows_.end();) {
-    Flow& f = it->second;
+  // Ascending FlowId; drops the entries of finished flows as it goes.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < order_.size(); ++i) {
+    const FlowRef ref = order_[i];
+    if (!live(ref)) continue;
+    Flow& f = flows_[ref.second];
     f.remaining -= f.rate * elapsed;
     // A flow also completes when its residue would drain within one
     // time quantum — the engine cannot schedule anything finer.
     if (f.remaining <= kCompletionEpsilon ||
         f.remaining <= f.rate * kTimeQuantum) {
       FlowStats stats;
-      stats.id = it->first;
+      stats.id = ref.first;
       stats.start = f.start;
       stats.end = t;
       stats.bytes = f.spec.size;
-      unlink_flow(it->first, f);
+      unlink_flow(ref.second);
       done.push_back({stats, std::move(f.spec.on_complete)});
-      it = flows_.erase(it);
+      release_flow(ref.second);
       ++completed_;
       NetMetrics::get().completed.inc();
     } else {
-      ++it;
+      order_[kept++] = ref;
     }
   }
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
+  order_.resize(kept);
+  NetMetrics::get().active.set(static_cast<double>(active_));
 
   // Callbacks run after bookkeeping so they can start new flows safely.
   for (auto& c : done) {
@@ -292,18 +609,19 @@ void FluidEngine::scan_for_changes(SimTime t) {
   // used by its component's last waterfill; a flow when its TCP cap
   // crossed a slow-start boundary.  Components with no change recompute
   // to the identical rates, so skipping them is exact.
-  for (auto& [r, state] : resources_) {
-    const double capacity = r->capacity_at(t);
-    if (capacity != state.capacity_cached) {
-      state.capacity_cached = capacity;
-      if (!state.dirty) {
-        state.dirty = true;
-        dirty_resources_.push_back(r);
-      }
+  for (Slot r = 0; r < resources_.size(); ++r) {
+    Resource& res = resources_[r];
+    if (res.provider == nullptr) continue;
+    const double capacity = res.provider->capacity_at(t);
+    if (capacity != res.capacity_cached) {
+      res.capacity_cached = capacity;
+      mark_dirty(r);
     }
   }
-  for (auto& [id, f] : flows_) {
-    if (flow_cap(f, t) != f.cached_cap) mark_resources_dirty(f);
+  for (const FlowRef& ref : order_) {
+    if (!live(ref)) continue;
+    const Flow& f = flows_[ref.second];
+    if (flow_cap(f, t) != f.cached_cap) mark_resources_dirty(ref.second);
   }
 }
 
@@ -312,13 +630,14 @@ void FluidEngine::schedule_next() {
     sim_.cancel(pending_wake_);
     pending_wake_ = 0;
   }
-  if (flows_.empty()) return;
+  if (active_ == 0) return;
 
   const SimTime now = sim_.now();
   SimTime next = kNeverTime;
 
-  std::vector<const CapacityProvider*> seen;
-  for (const auto& [id, f] : flows_) {
+  for (const FlowRef& ref : order_) {
+    if (!live(ref)) continue;
+    const Flow& f = flows_[ref.second];
     // Earliest completion at current rate (never below the quantum).
     if (f.rate > 0.0) {
       next = std::min(next, now + std::max(f.remaining / f.rate, kTimeQuantum));
@@ -331,14 +650,12 @@ void FluidEngine::schedule_next() {
       const SimTime ramp_next = f.start + (rtts_done + 1) * rtt;
       if (ramp_next > now) next = std::min(next, ramp_next);
     }
-    // Resource load-grid changes.
-    for_each_resource(f, [&](const CapacityProvider* r, double) {
-      for (const CapacityProvider* s : seen) {
-        if (s == r) return;
-      }
-      seen.push_back(r);
-      next = std::min(next, r->next_change_after(now));
-    });
+  }
+  // Resource load-grid changes (every live resource carries a flow).
+  for (const Resource& res : resources_) {
+    if (res.provider != nullptr) {
+      next = std::min(next, res.provider->next_change_after(now));
+    }
   }
 
   if (next == kNeverTime) return;
@@ -360,207 +677,140 @@ void FluidEngine::wake() {
 // ---------------------------------------------------------------------
 // Allocation: dirty-component collection and the max-min waterfill.
 
-std::vector<FlowId> FluidEngine::collect_dirty_components() {
+void FluidEngine::collect_dirty_components() {
   ++visit_epoch_;
-  std::vector<FlowId> ids;
-  std::unordered_set<FlowId> visited_flows;
-  std::vector<CapacityProvider*> stack;
-
-  for (CapacityProvider* seed : dirty_resources_) {
-    const auto sit = resources_.find(seed);
-    if (sit == resources_.end()) continue;  // last member already left
-    sit->second.dirty = false;
-    if (sit->second.visit_mark == visit_epoch_) continue;
-    sit->second.visit_mark = visit_epoch_;
+  component_.clear();
+  for (const Slot seed : dirty_resources_) {
+    Resource& seed_res = resources_[seed];
+    if (seed_res.provider == nullptr) continue;  // last member already left
+    seed_res.dirty = false;
+    if (seed_res.visit_mark == visit_epoch_) continue;
+    seed_res.visit_mark = visit_epoch_;
     ++stats_.components;
-    stack.push_back(seed);
-    while (!stack.empty()) {
-      CapacityProvider* r = stack.back();
-      stack.pop_back();
-      for (const FlowId id : resources_.at(r).members) {
-        if (!visited_flows.insert(id).second) continue;
-        ids.push_back(id);
-        const auto fit = flows_.find(id);
-        WADP_CHECK(fit != flows_.end());
-        for_each_resource(fit->second, [&](CapacityProvider* other, double) {
-          const auto oit = resources_.find(other);
-          if (oit == resources_.end()) return;
-          ResourceState& state = oit->second;
-          if (state.visit_mark == visit_epoch_) return;
-          state.visit_mark = visit_epoch_;
-          state.dirty = false;
-          stack.push_back(other);
-        });
+    stack_.push_back(seed);
+    while (!stack_.empty()) {
+      const Slot r = stack_.back();
+      stack_.pop_back();
+      for (const Member& member : resources_[r].members) {
+        FlowHead& head = heads_[member.flow];
+        if (head.visit_mark == visit_epoch_) continue;
+        head.visit_mark = visit_epoch_;
+        component_.emplace_back(head.id, member.flow);
+        for (const Crossing& c : crossings(member.flow)) {
+          Resource& other = resources_[c.resource];
+          if (other.visit_mark == visit_epoch_) continue;
+          other.visit_mark = visit_epoch_;
+          other.dirty = false;
+          stack_.push_back(c.resource);
+        }
       }
     }
   }
   dirty_resources_.clear();
-  // Ascending FlowId: matches compare_with_reference()'s map iteration,
-  // which keeps the waterfill arithmetic order-identical.
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-void FluidEngine::waterfill(const std::vector<FlowId>& ids, SimTime t,
-                            std::vector<double>& rates) const {
-  rates.clear();
-  if (ids.empty()) return;
-
-  // Resources indexed by first touch over flows in id order — the
-  // iteration order the original global allocator used, preserved so
-  // float accumulation is bit-identical.
-  std::vector<CapacityProvider*> resources;
-  std::unordered_map<CapacityProvider*, std::size_t> resource_index;
-  const auto index_of = [&](CapacityProvider* r) {
-    const auto [it, fresh] = resource_index.try_emplace(r, resources.size());
-    if (fresh) resources.push_back(r);
-    return it->second;
-  };
-
-  struct Member {
-    std::size_t resource;
-    double weight;
-  };
-  struct Entry {
-    double cap;  // TCP ramp/window ceiling
-    std::vector<Member> members;
-    bool fixed = false;
-    double rate = 0.0;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(ids.size());
-  for (const FlowId id : ids) {
-    const auto fit = flows_.find(id);
-    WADP_CHECK(fit != flows_.end());
-    const Flow& flow = fit->second;
-    Entry e;
-    e.cap = flow_cap(flow, t);
-    for_each_resource(flow, [&](CapacityProvider* r, double weight) {
-      e.members.push_back({index_of(r), weight});
-    });
-    entries.push_back(std::move(e));
-  }
-
-  std::vector<double> residual(resources.size());
-  for (std::size_t i = 0; i < resources.size(); ++i) {
-    residual[i] = std::max(0.0, resources[i]->capacity_at(t));
-  }
-
-  // Weighted max-min: repeatedly find the most constrained flow, fix it,
-  // and release its resource consumption from the pools.
-  std::size_t unfixed = entries.size();
-  while (unfixed > 0) {
-    std::vector<double> pool_weight(resources.size(), 0.0);
-    for (const Entry& e : entries) {
-      if (e.fixed) continue;
-      for (const Member& m : e.members) pool_weight[m.resource] += m.weight;
-    }
-
-    double min_tentative = std::numeric_limits<double>::infinity();
-    for (Entry& e : entries) {
-      if (e.fixed) continue;
-      double share = std::numeric_limits<double>::infinity();
-      for (const Member& m : e.members) {
-        WADP_CHECK(pool_weight[m.resource] > 0.0);
-        share = std::min(
-            share, residual[m.resource] * m.weight / pool_weight[m.resource]);
-      }
-      const double tentative = std::min(e.cap, share);
-      min_tentative = std::min(min_tentative, tentative);
-      e.rate = tentative;  // provisional; final once fixed below
-    }
-
-    // Fix every flow at the minimum (ties fix together), release capacity.
-    const double threshold = min_tentative * (1.0 + 1e-12) + 1e-9;
-    bool fixed_any = false;
-    for (Entry& e : entries) {
-      if (e.fixed || e.rate > threshold) continue;
-      e.fixed = true;
-      fixed_any = true;
-      --unfixed;
-      for (const Member& m : e.members) {
-        residual[m.resource] = std::max(0.0, residual[m.resource] - e.rate);
+  // Ascending FlowId: the order compare_with_reference() waterfills in,
+  // which keeps the arithmetic order-identical.  A component that holds
+  // a good share of all flows is read off order_ (already ascending)
+  // instead of sorted.
+  if (component_.size() * 16 < order_.size()) {
+    std::sort(component_.begin(), component_.end());
+  } else {
+    component_.clear();
+    for (const FlowRef& ref : order_) {
+      const FlowHead& head = heads_[ref.second];
+      if (head.id == ref.first && head.visit_mark == visit_epoch_) {
+        component_.push_back(ref);
       }
     }
-    WADP_CHECK_MSG(fixed_any, "max-min allocation failed to converge");
   }
-
-  rates.reserve(entries.size());
-  for (const Entry& e : entries) rates.push_back(e.rate);
 }
 
-void FluidEngine::apply_waterfill(const std::vector<FlowId>& ids,
+void FluidEngine::apply_waterfill(const std::vector<FlowRef>& component,
                                   SimTime t) {
-  if (ids.empty()) return;
-  std::vector<double> rates;
+  if (component.empty()) return;
   const std::uint64_t begin = now_ns();
-  waterfill(ids, t, rates);
+  solver_.clear();
+  for (const FlowRef& ref : component) {
+    const Flow& f = flows_[ref.second];
+    solver_.add_flow(flow_cap(f, t));
+    for (const Crossing& c : crossings(ref.second)) {
+      solver_.cross(c.resource, c.weight);
+    }
+  }
+  capacity_.clear();
+  for (const Slot r : solver_.resources()) {
+    capacity_.push_back(resources_[r].provider->capacity_at(t));
+  }
+  const std::uint64_t visits = solver_.solve(capacity_);
   const std::uint64_t ns = now_ns() - begin;
 
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    Flow& f = flows_.at(ids[i]);
+  const std::vector<double>& rates = solver_.rates();
+  const std::vector<double>& caps = solver_.caps();
+  for (std::size_t i = 0; i < component.size(); ++i) {
+    const Slot slot = component[i].second;
+    Flow& f = flows_[slot];
     const bool moved = f.rate != rates[i];
     f.rate = rates[i];
-    f.cached_cap = flow_cap(f, t);
+    f.cached_cap = caps[i];
     // A changed rate moves the completion instant; an unchanged rate
     // leaves the armed event valid (same remaining trajectory).
     if (config_.lazy_progress && (moved || f.completion_ev == 0)) {
-      arm_completion(ids[i], f);
+      arm_completion(slot);
     }
   }
 
   ++stats_.reallocs;
-  stats_.flows_touched += ids.size();
+  stats_.flows_touched += component.size();
   stats_.alloc_ns += ns;
-  NetMetrics::get().reallocs.inc();
-  NetMetrics::get().realloc_flows.inc(ids.size());
-  NetMetrics::get().realloc_ns.inc(ns);
-  report_allocations(ids, t);
+  stats_.waterfill_visits += visits;
+  NetMetrics& metrics = NetMetrics::get();
+  metrics.reallocs.inc();
+  metrics.realloc_flows.inc(component.size());
+  metrics.realloc_ns.inc(ns);
+  metrics.waterfill_visits.inc(visits);
+
+  // Report the allocated sum per touched resource — the hook links use
+  // to record utilization series — in first-touch order.
+  const std::vector<double>& sums = solver_.resource_sums();
+  const std::vector<std::uint32_t>& touched = solver_.resources();
+  double max_util = 0.0;
+  for (std::size_t i = 0; i < touched.size(); ++i) {
+    CapacityProvider* provider = resources_[touched[i]].provider;
+    provider->on_allocation(t, sums[i]);
+    const double capacity = provider->capacity_at(t);
+    if (capacity > 0.0) max_util = std::max(max_util, sums[i] / capacity);
+  }
+  metrics.util_max.set(100.0 * max_util);
 }
 
 void FluidEngine::realloc_dirty(SimTime t) {
   if (dirty_resources_.empty()) return;
-  apply_waterfill(collect_dirty_components(), t);
-}
-
-void FluidEngine::report_allocations(const std::vector<FlowId>& ids,
-                                     SimTime t) {
-  // Sum allocated rate per resource touched by the recomputed flows and
-  // report it — the hook links use to record utilization series.
-  std::vector<CapacityProvider*> order;
-  std::unordered_map<CapacityProvider*, double> sums;
-  for (const FlowId id : ids) {
-    const auto fit = flows_.find(id);
-    if (fit == flows_.end()) continue;  // completed during this instant
-    const Flow& f = fit->second;
-    for_each_resource(f, [&](CapacityProvider* r, double) {
-      const auto [it, fresh] = sums.try_emplace(r, 0.0);
-      if (fresh) order.push_back(r);
-      it->second += f.rate;
-    });
-  }
-  double max_util = 0.0;
-  for (CapacityProvider* r : order) {
-    const double allocated = sums[r];
-    r->on_allocation(t, allocated);
-    const double capacity = r->capacity_at(t);
-    if (capacity > 0.0) max_util = std::max(max_util, allocated / capacity);
-  }
-  if (!order.empty()) {
-    NetMetrics::get().util_max.set(100.0 * max_util);
-  }
+  collect_dirty_components();
+  apply_waterfill(component_, t);
 }
 
 std::size_t FluidEngine::compare_with_reference() const {
-  std::vector<FlowId> ids;
-  ids.reserve(flows_.size());
-  for (const auto& [id, f] : flows_) ids.push_back(id);
-  std::vector<double> rates;
-  waterfill(ids, sim_.now(), rates);
+  const SimTime now = sim_.now();
+  MaxMinSolver solver;
+  solver.clear();
+  for (const FlowRef& ref : order_) {
+    if (!live(ref)) continue;
+    const Flow& f = flows_[ref.second];
+    solver.add_flow(flow_cap(f, now));
+    for (const Crossing& c : crossings(ref.second)) {
+      solver.cross(c.resource, c.weight);
+    }
+  }
+  std::vector<double> capacity;
+  for (const Slot r : solver.resources()) {
+    capacity.push_back(resources_[r].provider->capacity_at(now));
+  }
+  solver.solve(capacity);
   std::size_t mismatches = 0;
   std::size_t i = 0;
-  for (const auto& [id, f] : flows_) {
-    if (f.rate != rates[i++]) ++mismatches;
+  for (const FlowRef& ref : order_) {
+    if (live(ref) && flows_[ref.second].rate != solver.rates()[i++]) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }
@@ -578,14 +828,15 @@ void FluidEngine::request_sweep() {
   sim_.schedule_at(sim_.now(), [this] { sweep(); });
 }
 
-void FluidEngine::integrate_flow(FlowId, Flow& f, SimTime t) {
+void FluidEngine::integrate_flow(Flow& f, SimTime t) {
   const Duration elapsed = t - f.integrated_to;
   if (elapsed <= 0.0) return;
   f.remaining -= f.rate * elapsed;
   f.integrated_to = t;
 }
 
-void FluidEngine::arm_completion(FlowId id, Flow& f) {
+void FluidEngine::arm_completion(Slot slot) {
+  Flow& f = flows_[slot];
   if (f.completion_ev != 0) {
     sim_.cancel(f.completion_ev);
     f.completion_ev = 0;
@@ -594,22 +845,23 @@ void FluidEngine::arm_completion(FlowId id, Flow& f) {
   const SimTime now = sim_.now();
   SimTime when = f.integrated_to + f.remaining / f.rate;
   if (when <= now + kTimeQuantum) when = now + kTimeQuantum;
-  f.completion_ev = sim_.schedule_at(when, [this, id] {
-    const auto it = flows_.find(id);
-    WADP_CHECK(it != flows_.end());
-    Flow& flow = it->second;
+  const FlowId id = heads_[slot].id;
+  f.completion_ev = sim_.schedule_at(when, [this, id, slot] {
+    WADP_CHECK(heads_[slot].id == id);
+    Flow& flow = flows_[slot];
     flow.completion_ev = 0;
-    integrate_flow(id, flow, sim_.now());
+    integrate_flow(flow, sim_.now());
     if (flow.remaining <= kCompletionEpsilon ||
         flow.remaining <= flow.rate * kTimeQuantum) {
-      finish_flow(id, sim_.now());
+      finish_flow(slot, sim_.now());
     } else {
-      arm_completion(id, flow);  // float residue: nudge forward
+      arm_completion(slot);  // float residue: nudge forward
     }
   });
 }
 
-void FluidEngine::arm_ramp(FlowId id, Flow& f) {
+void FluidEngine::arm_ramp(Slot slot) {
+  Flow& f = flows_[slot];
   if (f.ramp_ev != 0) {
     sim_.cancel(f.ramp_ev);
     f.ramp_ev = 0;
@@ -619,53 +871,48 @@ void FluidEngine::arm_ramp(FlowId id, Flow& f) {
   if (rtts_done >= f.ramp_rtts_total) return;  // window filled
   SimTime when = f.start + (rtts_done + 1) * f.rtt;
   if (when <= now + kTimeQuantum) when = now + kTimeQuantum;
-  f.ramp_ev = sim_.schedule_at(when, [this, id] {
-    const auto it = flows_.find(id);
-    WADP_CHECK(it != flows_.end());
-    Flow& flow = it->second;
-    flow.ramp_ev = 0;
-    mark_resources_dirty(flow);
+  const FlowId id = heads_[slot].id;
+  f.ramp_ev = sim_.schedule_at(when, [this, id, slot] {
+    WADP_CHECK(heads_[slot].id == id);
+    flows_[slot].ramp_ev = 0;
+    mark_resources_dirty(slot);
     request_sweep();
-    arm_ramp(id, flow);
+    arm_ramp(slot);
   });
 }
 
-void FluidEngine::arm_load_event(CapacityProvider* resource,
-                                 ResourceState& state) {
-  if (state.load_ev != 0) {
-    sim_.cancel(state.load_ev);
-    state.load_ev = 0;
+void FluidEngine::arm_load_event(Slot resource) {
+  Resource& res = resources_[resource];
+  if (res.load_ev != 0) {
+    sim_.cancel(res.load_ev);
+    res.load_ev = 0;
   }
-  const SimTime when = resource->next_change_after(sim_.now());
+  const SimTime when = res.provider->next_change_after(sim_.now());
   if (when == kNeverTime) return;
-  state.load_ev = sim_.schedule_at(when, [this, resource] {
-    const auto it = resources_.find(resource);
-    if (it == resources_.end()) return;  // deregistered meanwhile
-    it->second.load_ev = 0;
-    if (!it->second.dirty) {
-      it->second.dirty = true;
-      dirty_resources_.push_back(resource);
-    }
+  CapacityProvider* provider = res.provider;
+  res.load_ev = sim_.schedule_at(when, [this, resource, provider] {
+    Resource& state = resources_[resource];
+    if (state.provider != provider) return;  // deregistered meanwhile
+    state.load_ev = 0;
+    mark_dirty(resource);
     request_sweep();
-    arm_load_event(resource, it->second);
+    arm_load_event(resource);
   });
 }
 
-void FluidEngine::finish_flow(FlowId id, SimTime t) {
-  const auto it = flows_.find(id);
-  WADP_CHECK(it != flows_.end());
-  Flow& f = it->second;
+void FluidEngine::finish_flow(Slot slot, SimTime t) {
+  Flow& f = flows_[slot];
   FlowStats stats;
-  stats.id = id;
+  stats.id = heads_[slot].id;
   stats.start = f.start;
   stats.end = t;
   stats.bytes = f.spec.size;
   auto callback = std::move(f.spec.on_complete);
-  unlink_flow(id, f);
-  flows_.erase(it);
+  unlink_flow(slot);
+  release_flow(slot);
   ++completed_;
   NetMetrics::get().completed.inc();
-  NetMetrics::get().active.set(static_cast<double>(flows_.size()));
+  NetMetrics::get().active.set(static_cast<double>(active_));
   request_sweep();
   if (callback) callback(stats);
 }
@@ -677,31 +924,28 @@ void FluidEngine::sweep() {
   NetMetrics::get().sweeps.inc();
   if (dirty_resources_.empty()) return;
 
-  const std::vector<FlowId> ids = collect_dirty_components();
-  if (ids.empty()) return;
+  collect_dirty_components();
+  if (component_.empty()) return;
 
   // Bring the affected flows' byte counts to t; anything that drains in
   // the process completes after rates settle (callbacks last).
-  std::vector<FlowId> drained;
-  std::vector<FlowId> live;
-  live.reserve(ids.size());
-  for (const FlowId id : ids) {
-    const auto fit = flows_.find(id);
-    if (fit == flows_.end()) continue;
-    Flow& f = fit->second;
-    integrate_flow(id, f, t);
+  std::vector<FlowRef> drained;
+  live_refs_.clear();
+  for (const FlowRef& ref : component_) {
+    Flow& f = flows_[ref.second];
+    integrate_flow(f, t);
     if (f.remaining <= kCompletionEpsilon ||
         f.remaining <= f.rate * kTimeQuantum) {
-      drained.push_back(id);
+      drained.push_back(ref);
     } else {
-      live.push_back(id);
+      live_refs_.push_back(ref);
     }
   }
 
-  apply_waterfill(live, t);
+  apply_waterfill(live_refs_, t);
 
-  for (const FlowId id : drained) {
-    if (flows_.contains(id)) finish_flow(id, t);
+  for (const FlowRef& ref : drained) {
+    if (live(ref)) finish_flow(ref.second, t);
   }
 }
 

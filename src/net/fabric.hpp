@@ -22,12 +22,18 @@
 // rate outside it.  The engine exploits that to make reallocation
 // *incremental*: every change (arrival, completion, ramp step, load
 // step) marks the resources it touches dirty, and only the connected
-// components reached from dirty resources are waterfilled again.  That
-// is the engine's one allocation path.  compare_with_reference() is the
-// oracle hook: it waterfills every active flow globally into scratch
-// and counts rates that differ from the live ones — the equivalence
-// tests call it at every settled instant, and bench_netsim times it as
-// the global-recompute baseline.
+// components reached from dirty resources are waterfilled again, by
+// MaxMinSolver.  That is the engine's one allocation path.
+// compare_with_reference() is the oracle hook: it waterfills every
+// active flow globally into scratch and counts rates that differ from
+// the live ones — the equivalence tests call it at every settled
+// instant, and bench_netsim times it as the global-recompute baseline.
+//
+// Storage is flat: flows and resources live in dense slots (freed
+// slots are reused), every flow's crossings sit back to back in one
+// shared array, and each resource keeps its member flows.  The
+// provider -> slot hash lookup happens once per flow start; component
+// search and reallocation run on slot indices and epoch stamps only.
 //
 // Two progress-bookkeeping modes:
 //   * eager (default) — every advance integrates every flow, and one
@@ -42,10 +48,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <map>
 #include <optional>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/path.hpp"
@@ -88,6 +96,80 @@ struct FlowSpec {
   std::function<void(const FlowStats&)> on_complete;  ///< may be empty
 };
 
+/// Weighted max-min fair allocation of one sharing component, in flat
+/// form.  Load a problem with add_flow()/cross(), then solve() it with
+/// the capacities of resources() in that order; rates()[i] is the rate
+/// of the i-th flow added.
+///
+/// The result is the classic round-based waterfill's, bit for bit.
+/// Every round finds the least tentative rate over unfixed flows —
+/// min(TCP cap, min over crossings of residual * weight / pool) — fixes
+/// every flow within a relative 1e-12 (+1e-9) of it, and subtracts
+/// their rates from the residuals of the resources they cross, in flow
+/// order.  It is incremental instead of re-scanning every flow each
+/// round: pool weights are decremented as flows fix, and a round
+/// evaluates only its candidates — flows whose cap, or whose share on
+/// some resource, is under the threshold (see solve()).  The
+/// round-based loop it replaces is kept as a test oracle.
+class MaxMinSolver {
+ public:
+  /// Drops the loaded problem (scratch capacity is kept for the next).
+  void clear();
+  /// Appends the next flow, with its TCP rate cap.
+  void add_flow(Bandwidth cap);
+  /// The last added flow crosses resource `id` (any small dense integer)
+  /// with `weight` (an integer value >= 1).  Resources are numbered in
+  /// first-touch order.
+  void cross(std::uint32_t id, double weight);
+
+  /// Resource ids in first-touch order.
+  const std::vector<std::uint32_t>& resources() const { return res_ids_; }
+  /// Waterfills the loaded problem; `capacity[i]` is the capacity of
+  /// resources()[i].  Returns the entry slots the round loop read.
+  std::uint64_t solve(const std::vector<double>& capacity);
+  const std::vector<double>& rates() const { return rate_; }
+  const std::vector<double>& caps() const { return cap_; }
+  /// Sum of solved rates per resource (indexed like resources()),
+  /// accumulated in flow order then crossing order.
+  const std::vector<double>& resource_sums();
+
+ private:
+  struct Member {
+    std::uint32_t flow;
+    double weight;
+  };
+
+  // Loaded problem: per-flow cap and crossings (CSR, local resource
+  // index + weight).
+  std::vector<double> cap_;
+  std::vector<std::uint32_t> flow_begin_{0};
+  std::vector<std::uint32_t> cross_res_;
+  std::vector<double> cross_weight_;
+  std::vector<std::uint32_t> res_ids_;
+  // Global id -> local index, valid where stamp == problem_.
+  std::vector<std::uint32_t> local_of_;
+  std::vector<std::uint64_t> stamp_;
+  std::uint64_t problem_ = 1;
+
+  // Solve state.
+  std::vector<double> rate_;
+  std::vector<std::uint8_t> fixed_;
+  std::vector<std::uint32_t> round_mark_;
+  std::vector<std::uint32_t> cap_heap_;
+  std::vector<double> residual_;
+  std::vector<double> pool_;
+  std::vector<double> share_;     // per round: residual * lightest / pool
+  std::vector<double> lightest_;  // weight of the member at head_
+  std::vector<std::uint32_t> res_mark_;  // round a resource was touched
+  std::vector<std::uint32_t> member_begin_;  // resource -> members (CSR)
+  std::vector<Member> members_;              // ascending weight per resource
+  std::vector<std::uint32_t> head_;          // first member not yet fixed
+  std::vector<std::uint32_t> live_;          // resources with unfixed members
+  std::vector<std::uint32_t> touched_;
+  std::vector<std::uint32_t> candidates_;
+  std::vector<double> sums_;
+};
+
 struct EngineConfig {
   /// Per-flow/per-resource events instead of the eager single wake.
   bool lazy_progress = false;
@@ -109,7 +191,7 @@ class FluidEngine {
   /// false when the flow already completed or never existed.
   bool cancel_flow(FlowId id);
 
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return active_; }
 
   /// Current allocated rate of an active flow (bytes/s); 0 if unknown.
   Bandwidth current_rate(FlowId id) const;
@@ -141,6 +223,9 @@ class FluidEngine {
     std::uint64_t flows_touched = 0;  ///< flow entries across passes
     std::uint64_t sweeps = 0;         ///< lazy-mode coalescing sweeps
     std::uint64_t alloc_ns = 0;       ///< wall time in applied waterfills
+    /// Entry slots the waterfill round loop read across applied passes,
+    /// fixed entries included (MaxMinSolver::solve's return value).
+    std::uint64_t waterfill_visits = 0;
   };
   const AllocStats& alloc_stats() const { return stats_; }
 
@@ -152,6 +237,28 @@ class FluidEngine {
   std::size_t compare_with_reference() const;
 
  private:
+  using Slot = std::uint32_t;
+
+  /// One resource a flow crosses: its slot, the flow's weight on it,
+  /// and the flow's position in that resource's member list.
+  struct Crossing {
+    Slot resource;
+    std::uint32_t member_pos;
+    double weight;
+  };
+
+  /// The fields component search reads, kept apart from Flow so the
+  /// search walks a dense array.
+  struct FlowHead {
+    FlowId id = 0;  ///< 0 while the slot is free
+    std::uint64_t visit_mark = 0;  ///< component-search epoch
+    /// Resources crossed: crossings_[cross_begin, +cross_count), in
+    /// canonical order — path/links (weight = streams), then extras
+    /// (weight = 1).  Fixed at start.
+    std::uint32_t cross_begin = 0;
+    std::uint32_t cross_count = 0;
+  };
+
   struct Flow {
     FlowSpec spec;
     SimTime start = 0.0;
@@ -170,46 +277,57 @@ class FluidEngine {
     sim::EventId ramp_ev = 0;
   };
 
-  struct ResourceState {
-    std::vector<FlowId> members;
+  struct Member {
+    Slot flow;
+    std::uint32_t crossing;  ///< index into the flow's crossings
+  };
+
+  struct Resource {
+    CapacityProvider* provider = nullptr;  ///< null while the slot is free
+    std::vector<Member> members;
     double capacity_cached = -1.0;  ///< capacity_at at last dirty scan
-    std::uint64_t visit_mark = 0;   ///< BFS epoch
+    std::uint64_t visit_mark = 0;   ///< component-search epoch
     bool dirty = false;
     sim::EventId load_ev = 0;  ///< lazy mode: next load-grid step
   };
 
-  /// Invokes fn(provider, weight) for each resource the flow crosses,
-  /// in canonical order: path/links (weight = streams), then extras
-  /// (weight = 1).
-  template <typename Fn>
-  static void for_each_resource(const Flow& f, Fn&& fn);
+  /// (FlowId, slot) of one flow; sorting by the first member gives the
+  /// ascending-FlowId order every float and callback sequence uses.
+  using FlowRef = std::pair<FlowId, Slot>;
+
+  bool live(const FlowRef& ref) const {
+    return heads_[ref.second].id == ref.first;
+  }
+  std::span<const Crossing> crossings(Slot slot) const {
+    const FlowHead& head = heads_[slot];
+    return {crossings_.data() + head.cross_begin, head.cross_count};
+  }
+  /// Slot of an active flow, or nullopt.
+  std::optional<Slot> find_flow(FlowId id) const;
 
   // -- shared bookkeeping --------------------------------------------
   void register_flow(FlowId id, Flow&& flow);
-  /// Removes the flow from resource membership, marks its resources
-  /// dirty, and (lazy mode) cancels its events.  Does not erase it from
-  /// flows_.
-  void unlink_flow(FlowId id, Flow& f);
-  void mark_resources_dirty(const Flow& f);
+  /// Removes the flow from resource membership (freeing resources left
+  /// without members), marks its resources dirty, and (lazy mode)
+  /// cancels its events.  Does not free the flow slot.
+  void unlink_flow(Slot slot);
+  /// Frees an unlinked flow's slot.
+  void release_flow(Slot slot);
+  void mark_dirty(Slot resource);
+  void mark_resources_dirty(Slot slot);
 
-  /// Weighted max-min over `ids` (ascending FlowId order expected):
-  /// `rates[i]` is the rate of flow `ids[i]` at `t`.
-  void waterfill(const std::vector<FlowId>& ids, SimTime t,
-                 std::vector<double>& rates) const;
-  /// Waterfills `ids` and stores the rates (lazy mode: re-arms the
-  /// completion of every flow whose rate moved), then accounts the pass
-  /// in AllocStats and NetMetrics and reports it to the resources.
-  /// No-op for an empty set.
-  void apply_waterfill(const std::vector<FlowId>& ids, SimTime t);
+  /// Waterfills `component` (ascending FlowId) and stores the rates
+  /// (lazy mode: re-arms the completion of every flow whose rate
+  /// moved), then accounts the pass in AllocStats and NetMetrics and
+  /// reports per-resource sums to the providers.  No-op when empty.
+  void apply_waterfill(const std::vector<FlowRef>& component, SimTime t);
 
   /// Recomputes the connected components reached from dirty resources
   /// (eager mode).  No-op when nothing is dirty.
   void realloc_dirty(SimTime t);
-  /// Expands dirty resources to full components and clears the dirty
-  /// set; returns member flow ids ascending.
-  std::vector<FlowId> collect_dirty_components();
-  /// Reports allocation sums to the touched resources' on_allocation.
-  void report_allocations(const std::vector<FlowId>& ids, SimTime t);
+  /// Expands dirty resources to full components into `component_`
+  /// (ascending FlowId) and clears the dirty set.
+  void collect_dirty_components();
 
   // -- eager mode ----------------------------------------------------
   /// Moves bytes for the elapsed interval and completes finished flows.
@@ -224,23 +342,42 @@ class FluidEngine {
   // -- lazy mode -----------------------------------------------------
   void request_sweep();
   void sweep();
-  void integrate_flow(FlowId id, Flow& f, SimTime t);
+  static void integrate_flow(Flow& f, SimTime t);
   /// (Re)schedules the flow's completion event from its current rate.
-  void arm_completion(FlowId id, Flow& f);
-  void arm_ramp(FlowId id, Flow& f);
-  void arm_load_event(CapacityProvider* resource, ResourceState& state);
-  /// Completes the flow at `t` (records stats, unlinks, erases) and
+  void arm_completion(Slot slot);
+  void arm_ramp(Slot slot);
+  void arm_load_event(Slot resource);
+  /// Completes the flow at `t` (records stats, unlinks, frees) and
   /// fires its callback.
-  void finish_flow(FlowId id, SimTime t);
+  void finish_flow(Slot slot, SimTime t);
 
   /// Per-flow instantaneous cap from TCP ramp + window limit.
-  Bandwidth flow_cap(const Flow& f, SimTime t) const;
+  static Bandwidth flow_cap(const Flow& f, SimTime t);
 
   sim::Simulator& sim_;
   EngineConfig config_;
-  std::map<FlowId, Flow> flows_;  // ordered: deterministic iteration
-  std::unordered_map<CapacityProvider*, ResourceState> resources_;
-  std::vector<CapacityProvider*> dirty_resources_;
+  std::vector<FlowHead> heads_;  // indexed by slot, like flows_
+  std::deque<Flow> flows_;       // grows without moving or over-reserving
+  std::vector<Slot> free_flows_;
+  std::unordered_map<FlowId, Slot> flow_slots_;
+  /// Every active flow in ascending FlowId order, plus entries of flows
+  /// gone since the last compaction (see live()).
+  std::vector<FlowRef> order_;
+  /// Crossing arrays of every flow, back to back; freed flows leave
+  /// garbage that register_flow compacts away.
+  std::vector<Crossing> crossings_;
+  std::size_t crossing_garbage_ = 0;
+  std::size_t active_ = 0;
+  std::vector<Resource> resources_;
+  std::vector<Slot> free_resources_;
+  std::unordered_map<CapacityProvider*, Slot> resource_slots_;
+  std::vector<Slot> dirty_resources_;
+  // Reallocation scratch.
+  std::vector<FlowRef> component_;
+  std::vector<FlowRef> live_refs_;
+  std::vector<Slot> stack_;
+  std::vector<double> capacity_;
+  MaxMinSolver solver_;
   FlowId next_id_ = 1;
   SimTime last_update_ = 0.0;
   sim::EventId pending_wake_ = 0;

@@ -108,7 +108,9 @@ void FailoverFetcher::try_next(const std::shared_ptr<FetchState>& state) {
                   deliver(state);
                   return;
                 }
-                replica_failed(state, replica, outcome.error);
+                replica_failed(state, replica, outcome.error,
+                               outcome.failure !=
+                                   gridftp::FailureClass::kPermanent);
                 try_next(state);
               });
 }
@@ -134,8 +136,8 @@ void FailoverFetcher::deliver(const std::shared_ptr<FetchState>& state) {
 
 void FailoverFetcher::replica_failed(const std::shared_ptr<FetchState>& state,
                                      const PhysicalReplica& replica,
-                                     std::string error) {
-  broker_.record_failure(replica, sim_.now());
+                                     std::string error, bool cool) {
+  if (cool) broker_.record_failure(replica, sim_.now());
   state->outcome.failed.push_back(replica);
   ++state->outcome.failovers;
   state->outcome.error = error;

@@ -72,8 +72,12 @@ class FailoverFetcher {
 
   void try_next(const std::shared_ptr<FetchState>& state);
   void deliver(const std::shared_ptr<FetchState>& state);
+  /// Moves past a failed replica.  `cool` puts its host on cooldown; a
+  /// permanent refusal (the replica lacks the file) does not, because
+  /// the host itself is healthy.
   void replica_failed(const std::shared_ptr<FetchState>& state,
-                      const PhysicalReplica& replica, std::string error);
+                      const PhysicalReplica& replica, std::string error,
+                      bool cool = true);
 
   sim::Simulator& sim_;
   ReplicaBroker& broker_;

@@ -139,6 +139,19 @@ TEST_F(FetcherFixture, FailsOverToTheNextBestReplica) {
   EXPECT_EQ(broker.cooldowns().consecutive_failures("dpsslx04.lbl.gov"), 1);
 }
 
+TEST_F(FetcherFixture, MissingFileFailsOverWithoutCoolingTheHost) {
+  ASSERT_TRUE(lbl.fs().remove_file("/data/run42"));
+  const auto outcome = fetch_at(0.0);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_TRUE(outcome->ok) << outcome->error;
+  EXPECT_EQ(outcome->failovers, 1);
+  ASSERT_EQ(outcome->failed.size(), 1u);
+  EXPECT_EQ(outcome->failed[0].site, "lbl");
+  EXPECT_EQ(outcome->selection->replica.site, "isi");
+  // The host answered; only this replica lacks the file.
+  EXPECT_EQ(broker.cooldowns().consecutive_failures("dpsslx04.lbl.gov"), 0);
+}
+
 TEST_F(FetcherFixture, CooldownShieldsARecoveredServerUntilExpiry) {
   lbl.set_accepting(false);
   ASSERT_TRUE(fetch_at(0.0)->ok);  // failover; LBL enters cooldown

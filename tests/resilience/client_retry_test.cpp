@@ -148,6 +148,45 @@ TEST(ClientRetryTest, ExhaustionReportsEveryAttempt) {
   }
 }
 
+TEST(ClientRetryTest, PermanentRefusalIsNotRetried) {
+  // A missing file draws "550 no such file" on every attempt: retrying
+  // only burns the budget and pushes duplicate failure records.
+  World w;
+  w.client.set_retry_policy(resilience::default_wan_policy());
+  std::optional<TransferOutcome> outcome;
+  w.client.get(w.server, "/home/ftp/data/missing", {},
+               [&](const TransferOutcome& o) { outcome = o; });
+  w.sim.run();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_FALSE(outcome->ok);
+  EXPECT_EQ(outcome->error.substr(0, 3), "550");
+  EXPECT_EQ(outcome->failure, FailureClass::kPermanent);
+  EXPECT_EQ(outcome->attempts, 1);
+  EXPECT_EQ(w.failures.size(), 1u);
+  EXPECT_LT(w.sim.now(), 1.0);  // control setup only, no backoff
+}
+
+TEST(ClientRetryTest, FailureClassFollowsTheReplyCode) {
+  EXPECT_EQ(classify_failure("550 no such file: /x"),
+            FailureClass::kPermanent);
+  EXPECT_EQ(classify_failure("551 stripe size mismatch"),
+            FailureClass::kPermanent);
+  EXPECT_EQ(classify_failure("501 stripes span sites"),
+            FailureClass::kPermanent);
+  EXPECT_EQ(classify_failure("421 connection refused (injected fault)"),
+            FailureClass::kTransient);
+  EXPECT_EQ(classify_failure("426 attempt timed out after 60 s"),
+            FailureClass::kTransient);
+  EXPECT_EQ(classify_failure("no path a -> b in topology"),
+            FailureClass::kTransient);
+
+  World w;  // a transient outage outcome carries its class too
+  w.server.set_accepting(false);
+  const auto outcome = w.get();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->failure, FailureClass::kTransient);
+}
+
 TEST(ClientRetryTest, RetryBudgetStopsEarly) {
   World w;
   auto policy = quick_retries(10);  // backoffs 5, 10, 20, 40...

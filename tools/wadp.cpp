@@ -263,6 +263,7 @@ int cmd_simgrid(const util::ArgParser& args) {
         "  \"reallocs\": %llu,\n"
         "  \"realloc_components\": %llu,\n"
         "  \"realloc_flow_entries\": %llu,\n"
+        "  \"waterfill_visits\": %llu,\n"
         "  \"sweeps\": %llu,\n"
         "  \"alloc_ms\": %.3f,\n"
         "  \"wall_ms\": %llu,\n"
@@ -281,6 +282,7 @@ int cmd_simgrid(const util::ArgParser& args) {
         static_cast<unsigned long long>(alloc.reallocs),
         static_cast<unsigned long long>(alloc.components),
         static_cast<unsigned long long>(alloc.flows_touched),
+        static_cast<unsigned long long>(alloc.waterfill_visits),
         static_cast<unsigned long long>(alloc.sweeps),
         static_cast<double>(alloc.alloc_ns) / 1e6,
         static_cast<unsigned long long>(summary.wall_ms),
@@ -308,6 +310,7 @@ int cmd_simgrid(const util::ArgParser& args) {
   table.add_row({"reallocations", std::to_string(alloc.reallocs)});
   table.add_row({"dirty components", std::to_string(alloc.components)});
   table.add_row({"flow entries", std::to_string(alloc.flows_touched)});
+  table.add_row({"waterfill visits", std::to_string(alloc.waterfill_visits)});
   table.add_row({"coalescing sweeps", std::to_string(alloc.sweeps)});
   table.add_row({"allocator time",
                  util::format("%.3f ms",
