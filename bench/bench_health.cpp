@@ -18,11 +18,12 @@
 //    <= 10% of campaign wall time and <= 1% of simgrid wall time.
 //    The ROADMAP's 5% campaign target is printed alongside but is
 //    informational: a campaign hour is cheap to simulate, so between
-//    ticks the simulator evicts the recorder's ~180 rings from cache
-//    and every scrape pays about one cache miss per series on its ring
-//    slot.  On a 4-vCPU x86 VM one scrape of that registry costs ~4 us
-//    with a warm cache and ~18 us after an 8 MB sweep; a plan cannot
-//    remove that floor, only a time-major ring layout could.
+//    ticks the simulator evicts the recorder's state from cache.  The
+//    recorder's time-major rows turned ~180 scattered slot writes per
+//    scrape into one contiguous row (~40% less scrape time), which
+//    leaves the tick at ~7-8% of campaign wall time on a 4-vCPU x86
+//    VM; of what remains, ~80% is the scrape's instrument reads and
+//    series bookkeeping and ~20% the rule windows.
 //
 //  * ALERT LATENCY — a staged incident on the two-replica delivery
 //    stack: transfers flow cleanly until the fault injector (every

@@ -118,8 +118,8 @@ std::uint64_t MaxMinSolver::solve(const std::vector<double>& capacity) {
     residual_[r] = std::max(0.0, capacity[r]);
   }
 
-  // Resource -> member lists (CSR), filled in flow order, then sorted
-  // by ascending weight where they are not already.
+  // Resource -> member lists (CSR), sorted by ascending weight, ties in
+  // flow order.
   member_begin_.assign(m + 1, 0);
   for (const std::uint32_t r : cross_res_) ++member_begin_[r + 1];
   for (std::uint32_t r = 0; r < m; ++r) {
@@ -128,12 +128,15 @@ std::uint64_t MaxMinSolver::solve(const std::vector<double>& capacity) {
   head_.assign(member_begin_.begin(), member_begin_.end() - 1);
   members_.resize(cross_res_.size());
   // Min-heap by cap of the flows whose cap can bind; fixed flows are
-  // dropped when they surface.  A flow's share on a resource never
-  // exceeds that resource's capacity by more than a few ulps (residuals
-  // only shrink, weight <= pool), so while it is unfixed every round's
-  // threshold stays below 2 * (least capacity it crosses) + 1.  A cap at
-  // or above that can neither be the least tentative rate nor fall
-  // under a threshold: the flow is fixed through its shares alone.
+  // dropped when they surface.  While a flow is unfixed, every round's
+  // least tentative rate is at most its own share on the resource of
+  // least capacity it crosses, residual * w / pool <= capacity (times
+  // 1 + 2^-52 for rounding: residuals only shrink and w <= pool), so
+  // the threshold stays below 2 * that capacity + 1.  A cap at or above
+  // that can neither be the least rate nor fall under a threshold: the
+  // flow is fixed through its shares alone, and leaving it out of the
+  // heap changes no rate.  On simgrid most flows are share-bound:
+  // with every flow in the heap, perfbench simgrid ran ~20% slower.
   cap_heap_.clear();
   for (std::uint32_t e = 0; e < n; ++e) {
     double least_capacity = std::numeric_limits<double>::infinity();
@@ -148,18 +151,13 @@ std::uint64_t MaxMinSolver::solve(const std::vector<double>& capacity) {
       cap_heap_.push_back(e);
     }
   }
-  const auto lighter = [](const Member& a, const Member& b) {
-    return a.weight < b.weight;
-  };
   live_.clear();
   for (std::uint32_t r = 0; r < m; ++r) {
     const auto first = members_.begin() + member_begin_[r];
     const auto last = members_.begin() + member_begin_[r + 1];
-    if (!std::is_sorted(first, last, lighter)) {
-      std::sort(first, last, [](const Member& a, const Member& b) {
-        return a.weight != b.weight ? a.weight < b.weight : a.flow < b.flow;
-      });
-    }
+    std::sort(first, last, [](const Member& a, const Member& b) {
+      return a.weight != b.weight ? a.weight < b.weight : a.flow < b.flow;
+    });
     head_[r] = member_begin_[r];
     lightest_[r] = members_[head_[r]].weight;
     live_.push_back(r);
@@ -362,24 +360,32 @@ FlowId FluidEngine::start_flow(FlowSpec spec) {
   return id;
 }
 
+void FluidEngine::compact() {
+  // Flows register in ascending FlowId and are packed in that order, so
+  // cross_begin ascends along order_ and every block moves down (or
+  // stays): one in-place pass.
+  std::size_t kept = 0;
+  std::uint32_t packed = 0;
+  for (const FlowRef& ref : order_) {
+    if (!live(ref)) continue;
+    order_[kept++] = ref;
+    FlowHead& head = heads_[ref.second];
+    std::copy_n(crossings_.begin() + head.cross_begin, head.cross_count,
+                crossings_.begin() + packed);
+    head.cross_begin = packed;
+    packed += head.cross_count;
+  }
+  order_.resize(kept);
+  crossings_.resize(packed);
+  crossing_garbage_ = 0;
+}
+
 void FluidEngine::register_flow(FlowId id, Flow&& flow) {
-  // Entries of finished flows are dropped here, never while a walk over
-  // order_ may be running.
-  if (order_.size() >= 2 * active_ + 64) {
-    std::erase_if(order_, [this](const FlowRef& ref) { return !live(ref); });
-  }
-  if (crossing_garbage_ >= 256 && 2 * crossing_garbage_ >= crossings_.size()) {
-    std::vector<Crossing> packed;
-    packed.reserve(crossings_.size() - crossing_garbage_);
-    for (FlowHead& head : heads_) {
-      if (head.id == 0) continue;
-      const auto first = crossings_.begin() + head.cross_begin;
-      head.cross_begin = static_cast<std::uint32_t>(packed.size());
-      packed.insert(packed.end(), first, first + head.cross_count);
-    }
-    crossings_ = std::move(packed);
-    crossing_garbage_ = 0;
-  }
+  // Garbage is dropped here, never while a walk over order_ may be
+  // running.  Every flow crosses at least one resource, so once garbage
+  // is half of crossings_ it also outnumbers the live entries of order_:
+  // each pass costs O(garbage), amortized O(1) per finished flow.
+  if (2 * crossing_garbage_ >= crossings_.size()) compact();
   Slot slot = 0;
   if (free_flows_.empty()) {
     slot = static_cast<Slot>(flows_.size());
@@ -708,9 +714,15 @@ void FluidEngine::collect_dirty_components() {
   }
   dirty_resources_.clear();
   // Ascending FlowId: the order compare_with_reference() waterfills in,
-  // which keeps the arithmetic order-identical.  A component that holds
-  // a good share of all flows is read off order_ (already ascending)
-  // instead of sorted.
+  // which keeps the arithmetic order-identical.  Sorting k flows costs
+  // O(k log k); reading them off order_ (already ascending) by visit
+  // stamp costs O(active).  Each alone loses end to end (4-vCPU x86
+  // VM): always sorting cut perfbench simgrid throughput (~650-flow
+  // components of ~700 active) by ~17%; always filtering made
+  // bench_netsim's locality-1.0 tier (~8-flow components of up to
+  // 12,000 active) ~3x slower.  Timed in isolation at 700, 2,000 and
+  // 12,000 active flows, the two cross between 1/32 and 1/16 of the
+  // active flows.
   if (component_.size() * 16 < order_.size()) {
     std::sort(component_.begin(), component_.end());
   } else {

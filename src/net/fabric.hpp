@@ -313,6 +313,9 @@ class FluidEngine {
   void unlink_flow(Slot slot);
   /// Frees an unlinked flow's slot.
   void release_flow(Slot slot);
+  /// Drops the entries of freed flows from order_ and their crossings
+  /// from crossings_.
+  void compact();
   void mark_dirty(Slot resource);
   void mark_resources_dirty(Slot slot);
 
@@ -361,10 +364,10 @@ class FluidEngine {
   std::vector<Slot> free_flows_;
   std::unordered_map<FlowId, Slot> flow_slots_;
   /// Every active flow in ascending FlowId order, plus entries of flows
-  /// gone since the last compaction (see live()).
+  /// gone since the last compact() (see live()).
   std::vector<FlowRef> order_;
   /// Crossing arrays of every flow, back to back; freed flows leave
-  /// garbage that register_flow compacts away.
+  /// garbage that compact() drops.
   std::vector<Crossing> crossings_;
   std::size_t crossing_garbage_ = 0;
   std::size_t active_ = 0;

@@ -26,17 +26,6 @@ std::string series_key(const std::string& name, const Labels& labels) {
 
 }  // namespace
 
-void MetricsRecorder::Series::push(TsSample sample) {
-  ring[head] = sample;
-  if (++head == ring.size()) head = 0;
-  if (size < ring.size()) ++size;
-}
-
-const TsSample& MetricsRecorder::Series::at(std::size_t i) const {
-  const std::size_t cap = ring.size();
-  return ring[(head + cap - size + i) % cap];
-}
-
 MetricsRecorder::MetricsRecorder(RecorderConfig config)
     : config_(config),
       registry_(config.registry != nullptr ? *config.registry
@@ -59,6 +48,7 @@ MetricsRecorder::MetricsRecorder(RecorderConfig config)
           "wadp_ts_scrape_seconds", {},
           "Wall-clock cost of one registry scrape")) {
   if (config_.ring_capacity == 0) config_.ring_capacity = 1;
+  times_.resize(config_.ring_capacity);
 }
 
 MetricsRecorder::~MetricsRecorder() { stop_wall_clock(); }
@@ -120,19 +110,43 @@ void MetricsRecorder::rebuild_plan(std::uint64_t generation) {
   plan_generation_ = generation;
 }
 
-void MetricsRecorder::record_point(Series& series, double now, double value,
+void MetricsRecorder::record_point(Series& series, double value,
                                    std::size_t* points) {
+  const std::size_t rows = config_.ring_capacity;
   if (!series.recorded()) {
     if (recorded_series_ >= config_.max_series) {
       ++dropped_series_;
       dropped_total_.inc();
       return;
     }
-    series.ring.resize(config_.ring_capacity);
-    ++recorded_series_;
+    if (recorded_series_ == stride_) {
+      const std::size_t stride = std::max<std::size_t>(16, 2 * stride_);
+      std::vector<double> grown(rows * stride);
+      for (std::size_t row = 0; row < rows && stride_ > 0; ++row) {
+        std::copy_n(values_.begin() + row * stride_, stride_,
+                    grown.begin() + row * stride);
+      }
+      values_ = std::move(grown);
+      stride_ = stride;
+    }
+    series.column = recorded_series_++;
+    series.first_row = local_scrapes_;
   }
-  series.push({now, value});
+  values_[(local_scrapes_ % rows) * stride_ + series.column] = value;
   ++*points;
+}
+
+std::size_t MetricsRecorder::sample_count(const Series& series) const {
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(local_scrapes_ - series.first_row,
+                              config_.ring_capacity));
+}
+
+TsSample MetricsRecorder::sample_at(const Series& series,
+                                    std::size_t i) const {
+  const std::size_t row = static_cast<std::size_t>(
+      (local_scrapes_ - sample_count(series) + i) % config_.ring_capacity);
+  return {times_[row], values_[row * stride_ + series.column]};
 }
 
 void MetricsRecorder::record_rate(Series& series, double now, double raw,
@@ -153,7 +167,7 @@ void MetricsRecorder::record_rate(Series& series, double now, double raw,
     // re-registered under us — record a zero rate rather than a spike.
     const double delta = std::max(0.0, raw - series.prev_value);
     if (dt > 0.0) {
-      record_point(series, now, delta / dt, points);
+      record_point(series, delta / dt, points);
     }
   }
   series.prev_value = raw;
@@ -227,6 +241,7 @@ std::size_t MetricsRecorder::scrape(double now) {
     // scrape rebuilds again instead of missing the new instrument.
     const std::uint64_t generation = registry_.generation();
     if (plan_generation_ != generation) rebuild_plan(generation);
+    times_[local_scrapes_ % config_.ring_capacity] = now;
     // Instrument reads are the same relaxed loads the exporters use —
     // writers never stall.
     double family_sum = 0.0;
@@ -234,16 +249,16 @@ std::size_t MetricsRecorder::scrape(double now) {
       if (step.counter != nullptr) {
         const double raw = static_cast<double>(step.counter->value());
         family_sum += raw;
-        record_point(*step.value, now, raw, &points);
+        record_point(*step.value, raw, &points);
         record_rate(*step.rate, now, raw, &points);
       } else if (step.gauge != nullptr) {
-        record_point(*step.value, now, step.gauge->value(), &points);
+        record_point(*step.value, step.gauge->value(), &points);
       } else {
         refresh_quantiles(step);
         record_rate(*step.rate, now, static_cast<double>(step.quantile_count),
                     &points);
-        record_point(*step.p50, now, step.p50_value, &points);
-        record_point(*step.p99, now, step.p99_value, &points);
+        record_point(*step.p50, step.p50_value, &points);
+        record_point(*step.p99, step.p99_value, &points);
       }
       if (step.closes_family) {
         if (step.family_rate != nullptr) {
@@ -310,9 +325,10 @@ std::vector<TsSample> MetricsRecorder::samples(
   std::lock_guard<std::mutex> lock(mu_);
   const Series* found = find_recorded(series);
   if (found == nullptr) return {};
+  const std::size_t count = sample_count(*found);
   std::vector<TsSample> out;
-  out.reserve(found->size);
-  for (std::size_t i = 0; i < found->size; ++i) out.push_back(found->at(i));
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) out.push_back(sample_at(*found, i));
   return out;
 }
 
@@ -321,7 +337,7 @@ std::optional<TsSample> MetricsRecorder::latest(
   std::lock_guard<std::mutex> lock(mu_);
   const Series* found = find_recorded(series);
   if (found == nullptr) return std::nullopt;
-  return found->at(found->size - 1);
+  return sample_at(*found, sample_count(*found) - 1);
 }
 
 TsWindow MetricsRecorder::window(const std::string& series,
@@ -334,12 +350,12 @@ TsWindow MetricsRecorder::window(const std::string& series,
   // Scrape times never decrease, so the samples in (since, now] are
   // one contiguous run: find it walking back from the newest, then
   // aggregate oldest to newest, the order the SLO thresholds see.
-  std::size_t end = found->size;
-  while (end > 0 && found->at(end - 1).time > now) --end;
+  std::size_t end = sample_count(*found);
+  while (end > 0 && sample_at(*found, end - 1).time > now) --end;
   std::size_t begin = end;
-  while (begin > 0 && !(found->at(begin - 1).time <= since)) --begin;
+  while (begin > 0 && !(sample_at(*found, begin - 1).time <= since)) --begin;
   for (std::size_t i = begin; i < end; ++i) {
-    const double value = found->at(i).value;
+    const double value = sample_at(*found, i).value;
     if (out.samples == 0) {
       out.min = out.max = value;
     } else {

@@ -3,12 +3,11 @@
 // The paper's thesis is that *logged history* makes a system
 // predictable; obs/metrics only ever answered "what is the value now".
 // The MetricsRecorder closes that gap: on a fixed cadence it scrapes a
-// Registry snapshot into fixed-capacity per-series ring buffers, so a
+// Registry snapshot into a fixed-capacity ring of scrapes, so a
 // shed storm, an fsync stall, or a drift episode leaves an inspectable
 // trail instead of a single post-hoc gauge reading.
 //
-// Derived series, one ring each (names are `<metric key>` plus an
-// aspect suffix):
+// Derived series (names are `<metric key>` plus an aspect suffix):
 //
 //   counter    `name{labels}`        cumulative value
 //              `name{labels}:rate`   per-second delta vs previous scrape
@@ -25,8 +24,15 @@
 // Registry::generation() into a flat plan of instrument and series
 // pointers, so a steady-state scrape copies no family list, assembles
 // no string and does no string-keyed lookup — it reads each instrument
-// and appends to its rings.  A registration bumps the generation and
-// the next scrape recompiles.
+// and writes its values into one row.  A registration bumps the
+// generation and the next scrape recompiles.
+//
+// Storage is time-major: the ring holds scrapes, not series.  Row k
+// (mod ring_capacity) is the k-th scrape — its time and one value per
+// recorded series, each series owning one column from its first point
+// on — so a scrape writes one contiguous row.  Per-series rings put
+// each point on its own cache line, which a simulator run evicts
+// between hourly ticks: a scrape then paid about one miss per series.
 //
 // Cadence contract (docs/OBSERVABILITY.md): under the simulator the
 // caller drives scrape(now) from a sim::PeriodicTask, so sample times
@@ -34,7 +40,7 @@
 // process (`wadp serve`) start_wall_clock() runs a background thread
 // stamping seconds-since-start.  scrape() never blocks metric writers:
 // instruments are read with the same relaxed loads the exporters use,
-// and only the recorder's own rings take a lock.  A scrape whose
+// and only the recorder's own storage takes a lock.  A scrape whose
 // `now` does not advance past the previous one is skipped (counted),
 // which makes double-wiring a tick harmless.
 #pragma once
@@ -56,7 +62,7 @@
 namespace wadp::obs {
 
 struct RecorderConfig {
-  /// Samples kept per series; the oldest falls off first.
+  /// Scrapes kept (samples per series); the oldest falls off first.
   std::size_t ring_capacity = 512;
   /// Bound on distinct series; past it new series are dropped+counted.
   std::size_t max_series = 8192;
@@ -98,7 +104,7 @@ class MetricsRecorder {
   MetricsRecorder(const MetricsRecorder&) = delete;
   MetricsRecorder& operator=(const MetricsRecorder&) = delete;
 
-  /// Scrapes every instrument into the rings, stamped `now`.  Returns
+  /// Scrapes every instrument into a new row, stamped `now`.  Returns
   /// the number of points recorded (0 when the scrape was skipped
   /// because `now` had not advanced).  Thread-safe.
   std::size_t scrape(double now);
@@ -143,24 +149,26 @@ class MetricsRecorder {
   static std::string p99_series(const std::string& metric_key);
 
  private:
-  /// Everything kept under one series name: its ring and, for a rate
-  /// series, the raw reading of the previous scrape.  The ring is
-  /// allocated on the series' first point, not when the plan names it:
-  /// ring creation order decides which series the max_series cap
-  /// refuses, and a rate series has no point before its second scrape.
-  /// A name without a ring is not recorded (series_names, counts).
+  /// Everything kept under one series name: its column and, for a rate
+  /// series, the raw reading of the previous scrape.  The column is
+  /// assigned on the series' first point, not when the plan names it:
+  /// column order decides which series the max_series cap refuses, and
+  /// a rate series has no point before its second scrape.  A name
+  /// without a column is not recorded (series_names, counts).
+  ///
+  /// A recorded series gets exactly one point per scrape from its first
+  /// on — the registry never drops an instrument, and a rate series'
+  /// dt is positive once it has a previous reading — so its samples are
+  /// the retained rows from `first_row` to the newest.
   struct Series {
-    std::vector<TsSample> ring;  ///< empty, then ring_capacity, circular
-    std::size_t head = 0;        ///< next write slot
-    std::size_t size = 0;
+    static constexpr std::size_t kNoColumn = static_cast<std::size_t>(-1);
+    std::size_t column = kNoColumn;
+    std::uint64_t first_row = 0;  ///< scrape number of its first point
     double prev_value = 0.0;
     double prev_time = 0.0;
     bool prev_seen = false;
 
-    bool recorded() const { return !ring.empty(); }
-    void push(TsSample sample);
-    /// i-th retained sample, oldest first (i < size).
-    const TsSample& at(std::size_t i) const;
+    bool recorded() const { return column != kNoColumn; }
   };
 
   /// Everything one scrape does for one instrument, prebuilt.  The
@@ -189,11 +197,16 @@ class MetricsRecorder {
   Series* series_for(std::string name);
   /// The recorded series `name`, or nullptr.  Caller holds mu_.
   const Series* find_recorded(const std::string& name) const;
-  void record_point(Series& series, double now, double value,
-                    std::size_t* points);
+  /// Writes `value` into the current row's cell of `series`; the
+  /// current row's time is already `now`.
+  void record_point(Series& series, double value, std::size_t* points);
   void record_rate(Series& series, double now, double raw,
                    std::size_t* points);
   void refresh_quantiles(PlannedInstrument& instrument);
+  /// Samples a recorded series retains, and its i-th oldest.  Caller
+  /// holds mu_.
+  std::size_t sample_count(const Series& series) const;
+  TsSample sample_at(const Series& series, std::size_t i) const;
 
   RecorderConfig config_;
   Registry& registry_;
@@ -211,7 +224,13 @@ class MetricsRecorder {
   /// indexed by name.
   std::deque<Series> series_store_;
   std::map<std::string, Series*, std::less<>> series_;
-  std::size_t recorded_series_ = 0;
+  std::size_t recorded_series_ = 0;  ///< also the next free column
+  /// The ring of scrapes: scrape k's time is times_[k % ring_capacity]
+  /// and its value for column c is values_[(k % ring_capacity) * stride_
+  /// + c].  stride_ doubles when the columns run out.
+  std::vector<double> times_;
+  std::vector<double> values_;
+  std::size_t stride_ = 0;
   /// The scrape plan, valid while the registry's generation equals
   /// plan_generation_.
   std::vector<PlannedInstrument> plan_;
@@ -221,7 +240,8 @@ class MetricsRecorder {
   bool scraped_once_ = false;
   std::uint64_t dropped_series_ = 0;
   /// Per-recorder tallies; the wadp_ts_* counters are shared across
-  /// every recorder scraping the same registry.
+  /// every recorder scraping the same registry.  local_scrapes_ is also
+  /// the number of the scrape in progress, i.e. of the current row.
   std::uint64_t local_scrapes_ = 0;
   std::uint64_t local_skipped_ = 0;
 

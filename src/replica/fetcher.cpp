@@ -87,7 +87,8 @@ void FailoverFetcher::try_next(const std::shared_ptr<FetchState>& state) {
     // Catalog/deployment mismatch; treat exactly like a failed replica
     // so the loop keeps moving.
     replica_failed(state, selection->replica,
-                   "no server for replica " + selection->replica.server_host);
+                   "no server for replica " + selection->replica.server_host,
+                   /*cool=*/true);
     try_next(state);
     return;
   }

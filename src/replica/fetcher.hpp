@@ -77,7 +77,7 @@ class FailoverFetcher {
   /// the host itself is healthy.
   void replica_failed(const std::shared_ptr<FetchState>& state,
                       const PhysicalReplica& replica, std::string error,
-                      bool cool = true);
+                      bool cool);
 
   sim::Simulator& sim_;
   ReplicaBroker& broker_;

@@ -233,6 +233,44 @@ TEST(TimeseriesTest, RingEvictsOldestFirst) {
   EXPECT_DOUBLE_EQ(samples.back().value, 9.0);
 }
 
+TEST(TimeseriesTest, SeriesBornAfterTheRingWrapsKeepTheirOwnSamples) {
+  Registry registry;
+  MetricsRecorder recorder(with(&registry, /*ring_capacity=*/4));
+  Gauge& early = registry.gauge("wadp_early_ratio");
+  for (int i = 0; i < 6; ++i) {
+    early.set(static_cast<double>(i));
+    recorder.scrape(static_cast<double>(i));
+  }
+  // Enough new series to outgrow the recorder's column stride while
+  // the ring is full: the early series' retained samples must survive.
+  std::vector<Gauge*> late;
+  for (int i = 0; i < 40; ++i) {
+    late.push_back(&registry.gauge("wadp_late" + std::to_string(i) + "_ratio"));
+  }
+  for (int t = 6; t < 8; ++t) {
+    early.set(static_cast<double>(t));
+    for (int i = 0; i < 40; ++i) late[i]->set(100.0 * t + i);
+    recorder.scrape(static_cast<double>(t));
+  }
+
+  const auto old = recorder.samples("wadp_early_ratio");
+  ASSERT_EQ(old.size(), 4u);
+  for (std::size_t k = 0; k < old.size(); ++k) {
+    EXPECT_DOUBLE_EQ(old[k].time, 4.0 + static_cast<double>(k));
+    EXPECT_DOUBLE_EQ(old[k].value, 4.0 + static_cast<double>(k));
+  }
+  for (int i = 0; i < 40; ++i) {
+    const std::string name = "wadp_late" + std::to_string(i) + "_ratio";
+    const auto fresh = recorder.samples(name);
+    ASSERT_EQ(fresh.size(), 2u) << name;
+    EXPECT_DOUBLE_EQ(fresh[0].time, 6.0);
+    EXPECT_DOUBLE_EQ(fresh[0].value, 600.0 + i);
+    EXPECT_DOUBLE_EQ(fresh[1].time, 7.0);
+    EXPECT_DOUBLE_EQ(fresh[1].value, 700.0 + i);
+    EXPECT_EQ(recorder.window(name, 100.0, 7.0).samples, 2u);
+  }
+}
+
 TEST(TimeseriesTest, SeriesBeyondTheCapAreDroppedAndCounted) {
   Registry registry;
   // The recorder's own self-metrics claim some of the budget; a tiny
